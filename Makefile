@@ -11,7 +11,7 @@ BENCH_TIME = 100x
 
 .PHONY: build test race vet shvet shvet-strict shvet-fix shvet-fix-clean \
 	check bench smoke smoke-fleet profile chaos soak bench-run \
-	bench-snapshot bench-gate bench-gate-trace
+	bench-snapshot bench-gate bench-gate-trace fuzz
 
 build:
 	$(GO) build ./...
@@ -56,6 +56,18 @@ check: build vet shvet shvet-strict shvet-fix-clean test race
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
+
+# Differential fuzzing: each native fuzz target runs for FUZZ_TIME against
+# its reference — the multi-pass Compute kept in stats' tests, plain
+# strconv.ParseFloat, the unscreened time.Parse layout loop, and the
+# lower-case-and-look-up missing check. Seed corpora live under each
+# package's testdata/fuzz/; a failing input is written there too.
+FUZZ_TIME ?= 10s
+fuzz:
+	$(GO) test ./internal/stats -run '^$$' -fuzz '^FuzzCompute$$' -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/stats -run '^$$' -fuzz '^FuzzParseFloat$$' -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/stats -run '^$$' -fuzz '^FuzzIsDate$$' -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/data -run '^$$' -fuzz '^FuzzIsMissing$$' -fuzztime $(FUZZ_TIME)
 
 # Run the gated serve-path benchmark set, teeing raw output into
 # bench-latest.txt (gitignored; CI uploads it as an artifact).

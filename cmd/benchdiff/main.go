@@ -45,9 +45,17 @@ type metrics struct {
 
 // entry is one labeled snapshot in the baseline history.
 type entry struct {
-	Label      string             `json:"label"`
-	Go         string             `json:"go,omitempty"`
+	Label string `json:"label"`
+	Go    string `json:"go,omitempty"`
+	machine
 	Benchmarks map[string]metrics `json:"benchmarks"`
+}
+
+// machine is what a benchmark run reports about the host it ran on.
+// Snapshots taken before benchdiff recorded it leave both fields empty.
+type machine struct {
+	GOMAXPROCS int    `json:"gomaxprocs,omitempty"`
+	CPU        string `json:"cpu,omitempty"`
 }
 
 // baselineFile is the committed perf trajectory: snapshots in the order
@@ -91,7 +99,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	cur, err := readBench(*input)
+	cur, host, err := readBench(*input)
 	if err != nil {
 		fmt.Fprintf(stderr, "benchdiff: %v\n", err)
 		return 2
@@ -106,7 +114,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "benchdiff: -update requires -label")
 			return 2
 		}
-		if err := snapshot(*update, *label, cur); err != nil {
+		if err := snapshot(*update, *label, host, cur); err != nil {
 			fmt.Fprintf(stderr, "benchdiff: %v\n", err)
 			return 2
 		}
@@ -151,25 +159,49 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
-	return gate(stdout, stderr, base, cur, gated, tol, ttol)
+	return gate(stdout, stderr, base, cur, host, gated, tol, ttol)
 }
 
-// readBench parses benchmark output from path ("-" = stdin).
-func readBench(path string) (map[string]metrics, error) {
+// readBench parses benchmark output from path ("-" = stdin): the
+// per-benchmark metrics and the machine the run reports.
+func readBench(path string) (map[string]metrics, machine, error) {
 	var r io.Reader = os.Stdin
 	if path != "-" {
 		f, err := os.Open(path)
 		if err != nil {
-			return nil, err
+			return nil, machine{}, err
 		}
 		defer f.Close()
 		r = f
 	}
 	data, err := io.ReadAll(r)
 	if err != nil {
-		return nil, err
+		return nil, machine{}, err
 	}
-	return parseBench(string(data))
+	out := string(data)
+	cur, err := parseBench(out)
+	return cur, parseMachine(out), err
+}
+
+// parseMachine reads the host facts `go test -bench` prints: the "cpu:"
+// header line and the GOMAXPROCS suffix of the first result line. A name
+// without a suffix ran at GOMAXPROCS 1 (go test appends it only above 1).
+func parseMachine(out string) machine {
+	var m machine
+	for _, line := range strings.Split(out, "\n") {
+		if cpu, ok := strings.CutPrefix(line, "cpu:"); ok && m.CPU == "" {
+			m.CPU = strings.TrimSpace(cpu)
+			continue
+		}
+		fields := strings.Fields(line)
+		if m.GOMAXPROCS != 0 || len(fields) < 3 || !strings.HasPrefix(fields[0], "Benchmark") {
+			continue
+		}
+		if _, err := strconv.Atoi(fields[1]); err == nil {
+			_, m.GOMAXPROCS = splitProcs(fields[0])
+		}
+	}
+	return m
 }
 
 // parseBench extracts per-benchmark metrics from `go test -bench` output.
@@ -220,14 +252,22 @@ func parseBench(out string) (map[string]metrics, error) {
 // stripProcs removes the trailing -N GOMAXPROCS suffix from a benchmark
 // name, leaving sub-benchmark paths intact.
 func stripProcs(name string) string {
+	base, _ := splitProcs(name)
+	return base
+}
+
+// splitProcs splits a benchmark name into its base and the GOMAXPROCS it
+// ran at (1 when the name carries no -N suffix).
+func splitProcs(name string) (string, int) {
 	i := strings.LastIndexByte(name, '-')
 	if i < 0 {
-		return name
+		return name, 1
 	}
-	if _, err := strconv.Atoi(name[i+1:]); err != nil {
-		return name
+	procs, err := strconv.Atoi(name[i+1:])
+	if err != nil {
+		return name, 1
 	}
-	return name[:i]
+	return name[:i], procs
 }
 
 // filterNames keeps only the benchmarks whose name matches re, so a
@@ -297,7 +337,9 @@ func loadBaseline(path string) (entry, error) {
 // gate compares cur against base and prints a per-benchmark report plus
 // per-metric geomeans. It returns 1 when a baseline benchmark is missing
 // from the run or a gated metric's geomean regresses past its tolerance.
-func gate(stdout, stderr io.Writer, base entry, cur map[string]metrics, gated map[string]bool, tol, timeTol float64) int {
+// Runs at different GOMAXPROCS get a notice, not a failure: the gated
+// alloc metrics of the serial benchmarks do not depend on it.
+func gate(stdout, stderr io.Writer, base entry, cur map[string]metrics, host machine, gated map[string]bool, tol, timeTol float64) int {
 	names := make([]string, 0, len(base.Benchmarks))
 	for name := range base.Benchmarks {
 		names = append(names, name)
@@ -306,6 +348,10 @@ func gate(stdout, stderr io.Writer, base entry, cur map[string]metrics, gated ma
 
 	failed := false
 	fmt.Fprintf(stdout, "baseline: %s\n", base.Label)
+	if base.GOMAXPROCS > 0 && host.GOMAXPROCS > 0 && base.GOMAXPROCS != host.GOMAXPROCS {
+		fmt.Fprintf(stdout, "notice: baseline ran at GOMAXPROCS=%d (%s), this run at GOMAXPROCS=%d (%s); ns/op and concurrency-dependent numbers may not compare\n",
+			base.GOMAXPROCS, orUnknown(base.CPU), host.GOMAXPROCS, orUnknown(host.CPU))
+	}
 	for _, d := range metricDefs {
 		var ratios []float64
 		printed := false
@@ -358,6 +404,14 @@ func gate(stdout, stderr io.Writer, base entry, cur map[string]metrics, gated ma
 	return 0
 }
 
+// orUnknown labels an unrecorded CPU model.
+func orUnknown(cpu string) string {
+	if cpu == "" {
+		return "cpu unknown"
+	}
+	return cpu
+}
+
 // ratioOf returns cur/base, treating the 0->0 case as flat and the
 // 0->positive case as a maximal regression. The bool is false when the
 // metric carries no signal on either side.
@@ -382,8 +436,9 @@ func geomean(ratios []float64) float64 {
 }
 
 // snapshot appends (or replaces, when the label already exists) an entry
-// in the baseline file, creating the file if needed.
-func snapshot(path, label string, cur map[string]metrics) error {
+// in the baseline file, creating the file if needed. The entry records
+// the machine the run reported.
+func snapshot(path, label string, host machine, cur map[string]metrics) error {
 	var f baselineFile
 	if data, err := os.ReadFile(path); err == nil {
 		if err := json.Unmarshal(data, &f); err != nil {
@@ -392,7 +447,7 @@ func snapshot(path, label string, cur map[string]metrics) error {
 	} else if !os.IsNotExist(err) {
 		return err
 	}
-	e := entry{Label: label, Go: runtime.Version(), Benchmarks: cur}
+	e := entry{Label: label, Go: runtime.Version(), machine: host, Benchmarks: cur}
 	replaced := false
 	for i := range f.History {
 		if f.History[i].Label == label {

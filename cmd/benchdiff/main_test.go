@@ -295,3 +295,69 @@ func TestOnlyRestrictsGate(t *testing.T) {
 		t.Errorf("-only with no baseline match exit %d, want 2 (%s)", code, errb)
 	}
 }
+
+// TestSnapshotRecordsMachine pins the machine facts in new snapshot
+// entries: the GOMAXPROCS suffix of the result lines (absent means 1) and
+// the "cpu:" header line.
+func TestSnapshotRecordsMachine(t *testing.T) {
+	if m := parseMachine(sampleOut); m.GOMAXPROCS != 8 || m.CPU != "Some CPU @ 2.70GHz" {
+		t.Errorf("parseMachine(sampleOut) = %+v, want GOMAXPROCS 8 on Some CPU @ 2.70GHz", m)
+	}
+	if m := parseMachine("BenchmarkX 10 100 ns/op\n"); m.GOMAXPROCS != 1 || m.CPU != "" {
+		t.Errorf("parseMachine(unsuffixed) = %+v, want GOMAXPROCS 1, no cpu", m)
+	}
+
+	dir := t.TempDir()
+	baseline := filepath.Join(dir, "BENCH.json")
+	in := writeFile(t, dir, "bench.txt", sampleOut)
+	if code, _, errb := runCLI(t, []string{"-update", baseline, "-label", "b", "-input", in}); code != 0 {
+		t.Fatal(errb)
+	}
+	e, err := loadBaseline(baseline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.GOMAXPROCS != 8 || e.CPU != "Some CPU @ 2.70GHz" {
+		t.Errorf("snapshot entry machine = %+v, want GOMAXPROCS 8 on Some CPU @ 2.70GHz", e.machine)
+	}
+	data, err := os.ReadFile(baseline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), `"gomaxprocs": 8`) || !strings.Contains(string(data), `"cpu": "Some CPU @ 2.70GHz"`) {
+		t.Errorf("snapshot file lacks the machine fields:\n%s", data)
+	}
+}
+
+// TestGateNoticesGOMAXPROCSMismatch pins that comparing runs taken at
+// different GOMAXPROCS prints a notice but does not fail the gate, and
+// that matching runs (or a baseline without machine facts) print none.
+func TestGateNoticesGOMAXPROCSMismatch(t *testing.T) {
+	dir := t.TempDir()
+	baseline := filepath.Join(dir, "BENCH.json")
+	in := writeFile(t, dir, "bench.txt", sampleOut)
+	if code, _, errb := runCLI(t, []string{"-update", baseline, "-label", "b", "-input", in}); code != 0 {
+		t.Fatal(errb)
+	}
+	code, out, _ := runCLI(t, []string{"-baseline", baseline, "-input", in})
+	if code != 0 || strings.Contains(out, "notice:") {
+		t.Errorf("same-GOMAXPROCS gate: exit %d, output:\n%s", code, out)
+	}
+
+	two := writeFile(t, dir, "two.txt", strings.ReplaceAll(sampleOut, "-8 ", "-2 "))
+	code, out, _ = runCLI(t, []string{"-baseline", baseline, "-input", two})
+	if code != 0 {
+		t.Fatalf("GOMAXPROCS mismatch exit %d, want 0 (notice only):\n%s", code, out)
+	}
+	if !strings.Contains(out, "notice: baseline ran at GOMAXPROCS=8") || !strings.Contains(out, "this run at GOMAXPROCS=2") {
+		t.Errorf("missing GOMAXPROCS notice:\n%s", out)
+	}
+
+	// An entry recorded before machine facts existed carries no
+	// GOMAXPROCS, so there is nothing to compare and no notice.
+	legacy := writeFile(t, dir, "legacy.json", `{"history":[{"label":"old","benchmarks":{"BenchmarkTreePredict":{"ns_op":1,"b_op":0,"allocs_op":0}}}]}`)
+	code, out, _ = runCLI(t, []string{"-baseline", legacy, "-input", two, "-only", "BenchmarkTreePredict"})
+	if code != 0 || strings.Contains(out, "notice:") {
+		t.Errorf("legacy baseline gate: exit %d, output:\n%s", code, out)
+	}
+}

@@ -13,6 +13,7 @@ package data
 
 import (
 	"strings"
+	"unicode/utf8"
 
 	"sortinghat/ftype"
 )
@@ -33,9 +34,42 @@ var MissingTokens = map[string]bool{
 	"missing": true,
 }
 
-// IsMissing reports whether a raw cell value counts as missing.
+// IsMissing reports whether a raw cell value counts as missing: whether
+// MissingTokens holds its trimmed, lower-cased form. It runs once per
+// distinct cell on the featurize hot path, so it avoids strings.ToLower's
+// allocation where it can: a value with no upper-case or non-ASCII byte is
+// already its own lower-case form, and an ASCII value that fits the stack
+// buffer is lowered there (a map lookup keyed by a converted byte slice
+// does not allocate).
 func IsMissing(v string) bool {
-	return MissingTokens[strings.ToLower(strings.TrimSpace(v))]
+	v = strings.TrimSpace(v)
+	for i := 0; i < len(v); i++ {
+		if c := v[i]; c >= utf8.RuneSelf || 'A' <= c && c <= 'Z' {
+			return isMissingFolded(v)
+		}
+	}
+	return MissingTokens[v]
+}
+
+// isMissingFolded is IsMissing for a trimmed value that needs case folding.
+// Non-ASCII values take strings.ToLower, whose Unicode case mapping (e.g.
+// the Kelvin sign lowering to 'k') stays authoritative.
+func isMissingFolded(v string) bool {
+	var buf [256]byte
+	if len(v) > len(buf) {
+		return MissingTokens[strings.ToLower(v)]
+	}
+	for i := 0; i < len(v); i++ {
+		c := v[i]
+		if c >= utf8.RuneSelf {
+			return MissingTokens[strings.ToLower(v)]
+		}
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	return MissingTokens[string(buf[:len(v)])]
 }
 
 // Column is one attribute of a raw data file: a name and its cell values in

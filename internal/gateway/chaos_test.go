@@ -1,12 +1,18 @@
 package gateway
 
 import (
+	"bytes"
+	"encoding/json"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"sortinghat/internal/resilience/faultinject"
+	"sortinghat/internal/serve"
 )
 
 // TestChaosReplicaErrorsRerouted arms a deterministic fault that fails
@@ -114,5 +120,127 @@ func TestChaosReplicaKilledMidBatch(t *testing.T) {
 	}
 	if g.met.shardErrors.Load() == 0 {
 		t.Error("the cut connection never surfaced as a shard error")
+	}
+}
+
+// lyingReplica wraps a replica handler so its /v1/infer answers are
+// rewritten by lie after the honest replica has produced them.
+func lyingReplica(h http.Handler, lie func(*serve.InferResponse)) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/infer" {
+			h.ServeHTTP(w, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		var resp serve.InferResponse
+		if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &resp) != nil {
+			w.WriteHeader(rec.Code)
+			_, _ = w.Write(rec.Body.Bytes())
+			return
+		}
+		lie(&resp)
+		w.Header().Set("Content-Type", "application/json")
+		_ = json.NewEncoder(w).Encode(&resp)
+	})
+}
+
+// TestChaosLyingReplicaRejected drills a replica whose answers are
+// well-formed HTTP 200s but wrong: predictions paired with the wrong
+// columns, a class no model has, or a body far larger than the shard can
+// justify. The gateway must treat each as a replica failure — counted
+// against the liar, its shard failed over to an honest replica — so the
+// batch comes back complete, ordered, undegraded and with every column's
+// own answer.
+func TestChaosLyingReplicaRejected(t *testing.T) {
+	cases := []struct {
+		name string
+		lie  func(*serve.InferResponse)
+	}{
+		{"swapped-names", func(r *serve.InferResponse) {
+			p := r.Predictions
+			if len(p) == 1 {
+				p[0].Name += "?"
+				return
+			}
+			p[0].Name, p[len(p)-1].Name = p[len(p)-1].Name, p[0].Name
+		}},
+		{"invalid-class", func(r *serve.InferResponse) {
+			r.Predictions[0].Type = "Spreadsheet"
+		}},
+		{"oversized", func(r *serve.InferResponse) {
+			r.Predictions[0].Error = strings.Repeat("x", 8<<20)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// Ring ownership depends on the listeners' ports, so the liar
+			// is picked after boot: the replica owning the most columns.
+			var liarIdx atomic.Int32
+			liarIdx.Store(-1)
+			fleet, addrs := startFleet(t, 3, func(i int, h http.Handler) http.Handler {
+				liesTo := lyingReplica(h, tc.lie)
+				return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					if int(liarIdx.Load()) == i {
+						liesTo.ServeHTTP(w, r)
+						return
+					}
+					h.ServeHTTP(w, r)
+				})
+			})
+			g := newTestGateway(t, addrs, nil)
+
+			req := testBatch(30)
+			shard := make([]int, len(fleet))
+			for i := range req.Columns {
+				col := toColumn(req.Columns[i])
+				shard[g.ring.Owner(ringKey(&col))]++
+			}
+			liar := 0
+			for r := range shard {
+				if shard[r] > shard[liar] {
+					liar = r
+				}
+			}
+			liarShard := shard[liar]
+			for i := range fleet {
+				if replicaByAddr(g, fleet[i].http.URL) == liar {
+					liarIdx.Store(int32(i))
+				}
+			}
+
+			rec, resp := postBatch(t, g.Handler(), req)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
+			}
+			requireOrdered(t, req, resp)
+			if resp.DegradedColumns != 0 {
+				t.Errorf("%d degraded columns — the honest replicas should absorb the liar's shard", resp.DegradedColumns)
+			}
+			if resp.ReroutedColumns != liarShard {
+				t.Errorf("rerouted %d columns, want the liar's full shard of %d", resp.ReroutedColumns, liarShard)
+			}
+			if got := g.replicas[liar].errors.Load(); got == 0 {
+				t.Error("the lie was not counted as a failure of the lying replica")
+			}
+
+			// Every answer must be the column's own: what an honest lone
+			// replica says for the same batch.
+			body, err := json.Marshal(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			honest := httptest.NewRecorder()
+			fleet[(liarIdx.Load()+1)%3].srv.Handler().ServeHTTP(honest, httptest.NewRequest(http.MethodPost, "/v1/infer", bytes.NewReader(body)))
+			var want serve.InferResponse
+			if err := json.Unmarshal(honest.Body.Bytes(), &want); err != nil {
+				t.Fatal(err)
+			}
+			for i, p := range resp.Predictions {
+				if w := want.Predictions[i]; p.Name != w.Name || p.Type != w.Type {
+					t.Errorf("column %d answered %s/%s, honest answer %s/%s", i, p.Name, p.Type, w.Name, w.Type)
+				}
+			}
+		})
 	}
 }

@@ -386,12 +386,58 @@ func (g *Gateway) postInfer(ctx context.Context, addr string, cols []data.Column
 		msg, _ := io.ReadAll(io.LimitReader(httpResp.Body, 512))
 		return nil, meta, fmt.Errorf("replica answered %d: %s", httpResp.StatusCode, bytes.TrimSpace(msg))
 	}
+	// A replica's answer is untrusted input: its size is bounded by the
+	// shard it answers, and every prediction must echo its column's name
+	// and carry a known class. A violation is a replica failure like any
+	// other — breaker evidence and a failover — never a misattribution.
+	limit := answerLimit(cols)
+	ansBody := &io.LimitedReader{R: httpResp.Body, N: limit}
 	var resp serve.InferResponse
-	if err := json.NewDecoder(httpResp.Body).Decode(&resp); err != nil {
+	if err := json.NewDecoder(ansBody).Decode(&resp); err != nil {
+		if ansBody.N == 0 {
+			return nil, shardMeta{}, fmt.Errorf("shard response exceeds %d bytes", limit)
+		}
 		return nil, shardMeta{}, fmt.Errorf("decoding shard response: %w", err)
 	}
 	if len(resp.Predictions) != len(cols) {
 		return nil, shardMeta{}, fmt.Errorf("replica answered %d predictions for %d columns", len(resp.Predictions), len(cols))
 	}
+	if i := badAnswer(cols, resp.Predictions); i >= 0 {
+		p := &resp.Predictions[i]
+		return nil, shardMeta{}, fmt.Errorf("replica answered column %d (%q) as %q with class %q", i, cols[i].Name, p.Name, p.Type)
+	}
 	return &resp, shardMeta{}, nil
 }
+
+// answerLimit bounds a replica's answer to cols: an envelope allowance
+// plus, per column, room for its name echoed with worst-case JSON escaping
+// and a generous prediction body. An honest answer needs a few hundred
+// bytes per column.
+func answerLimit(cols []data.Column) int64 {
+	n := int64(64 << 10)
+	for i := range cols {
+		n += 4<<10 + 6*int64(len(cols[i].Name))
+	}
+	return n
+}
+
+// badAnswer returns the index of the first prediction that does not echo
+// its column's name or whose type is not a known class, or -1.
+func badAnswer(cols []data.Column, preds []serve.InferPrediction) int {
+	for i := range preds {
+		if preds[i].Name != cols[i].Name || !answerClasses[preds[i].Type] {
+			return i
+		}
+	}
+	return -1
+}
+
+// answerClasses are the class labels a replica may answer with: every
+// type a model can predict (the base classes and the extension classes).
+var answerClasses = func() map[string]bool {
+	m := make(map[string]bool)
+	for t := ftype.Numeric; t <= ftype.State; t++ {
+		m[t.String()] = true
+	}
+	return m
+}()

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"sync"
 
 	"sortinghat/internal/data"
 )
@@ -127,49 +128,69 @@ func logCompress(v float64) float64 {
 // Compute extracts the full descriptive statistics for a column, using the
 // provided sample values (typically the 5 randomly sampled distinct values
 // from base featurization) for the regex/timestamp checks.
+//
+// It makes one pass over the cells. Each distinct value is classified once
+// — missing or not, numeric or not, and its character, word, stopword,
+// whitespace and delimiter counts from a single byte-level scan — and a
+// repeated value reuses that classification through the distinct-value
+// map, which is pooled across calls. The moments are still taken two-pass
+// over per-cell series in column order, so every field is bit-identical to
+// the multi-pass formulation kept as the test reference.
 func Compute(col *data.Column, samples []string) Stats {
 	var s Stats
 	s.TotalVals = len(col.Values)
 
-	// One backing allocation feeds all six per-value series. Each series
-	// gets a full-capacity slot (three-index slice), so the appends below
-	// stay in place and can never grow into a neighbour's slot.
+	// The per-value series keep one entry per non-missing cell, in column
+	// order, for the two-pass moments below. The five count series share
+	// one int32 backing: each gets a full-capacity slot (three-index
+	// slice), so the appends stay in place and can never grow into a
+	// neighbour's slot. The series are per call, not pooled: their bytes
+	// then do not depend on which processor's pool slot holds a buffer,
+	// so bytes allocated per column stay reproducible run to run.
 	n := len(col.Values)
-	backing := make([]float64, 6*n)
+	numVals := make([]float64, 0, n)
+	counts := make([]int32, 5*n)
 	var (
-		numVals = backing[0*n : 0*n : 1*n]
-		charC   = backing[1*n : 1*n : 2*n]
-		wordC   = backing[2*n : 2*n : 3*n]
-		stopC   = backing[3*n : 3*n : 4*n]
-		wsC     = backing[4*n : 4*n : 5*n]
-		delimC  = backing[5*n : 5*n : 6*n]
+		charC  = counts[0*n : 0*n : 1*n]
+		wordC  = counts[1*n : 1*n : 2*n]
+		stopC  = counts[2*n : 2*n : 3*n]
+		wsC    = counts[3*n : 3*n : 4*n]
+		delimC = counts[4*n : 4*n : 5*n]
 
 		nInt, nFloat, nonMissing int
 	)
-	seen := make(map[string]struct{}, len(col.Values))
+	seen := getSeen(n)
+	defer putSeen(seen)
 	for _, v := range col.Values {
-		if data.IsMissing(v) {
+		// Every per-cell quantity is a function of the cell's text alone,
+		// so a repeated value reuses the classification of its first
+		// occurrence; the series still get one entry per cell, in order.
+		c, ok := seen[v]
+		if !ok {
+			c = classify(v)
+			seen[v] = c
+			if !c.missing {
+				s.NumUnique++
+			}
+		}
+		if c.missing {
 			s.NumNaNs++
 			continue
 		}
 		nonMissing++
-		if _, ok := seen[v]; !ok {
-			seen[v] = struct{}{}
-		}
-		if f, ok := ParseFloat(v); ok {
-			numVals = append(numVals, f)
+		if c.isFloat {
+			numVals = append(numVals, c.f)
 			nFloat++
-			if IsInt(v) {
+			if c.isInt {
 				nInt++
 			}
 		}
-		charC = append(charC, float64(len(v)))
-		wordC = append(wordC, float64(CountWords(v)))
-		stopC = append(stopC, float64(CountStopwords(v)))
-		wsC = append(wsC, float64(CountWhitespace(v)))
-		delimC = append(delimC, float64(CountDelimiters(v)))
+		charC = append(charC, int32(len(v)))
+		wordC = append(wordC, c.words)
+		stopC = append(stopC, c.stopwords)
+		wsC = append(wsC, c.whitespace)
+		delimC = append(delimC, c.delims)
 	}
-	s.NumUnique = len(seen)
 	if s.TotalVals > 0 {
 		s.PctNaNs = 100 * float64(s.NumNaNs) / float64(s.TotalVals)
 		s.PctUnique = 100 * float64(s.NumUnique) / float64(s.TotalVals)
@@ -194,6 +215,44 @@ func Compute(col *data.Column, samples []string) Stats {
 	return s
 }
 
+// cell is the classification of one distinct cell value.
+type cell struct {
+	cellCounts
+	f                       float64 // numeric value when isFloat
+	missing, isFloat, isInt bool
+}
+
+// classify computes everything Compute records about one cell value.
+func classify(v string) cell {
+	if data.IsMissing(v) {
+		return cell{missing: true}
+	}
+	c := cell{cellCounts: scanCell(v)}
+	c.f, c.isFloat = ParseFloat(v)
+	c.isInt = c.isFloat && IsInt(v)
+	return c
+}
+
+// seenPool recycles Compute's distinct-value maps. A sync.Pool, not a
+// per-worker map: the runtime drops idle entries at garbage collection, so
+// one huge column does not pin its map for the life of the process.
+var seenPool sync.Pool
+
+// getSeen returns an empty distinct-value map, pooled when one is idle.
+func getSeen(n int) map[string]cell {
+	if m, ok := seenPool.Get().(map[string]cell); ok {
+		return m
+	}
+	return make(map[string]cell, n)
+}
+
+// putSeen empties m — a pooled map must not keep the column's strings
+// alive — and returns it to the pool.
+func putSeen(m map[string]cell) {
+	clear(m)
+	seenPool.Put(m)
+}
+
 // majority reports whether pred holds for more than half of the non-missing
 // sample values (and for at least one).
 func majority(samples []string, pred func(string) bool) bool {
@@ -210,19 +269,22 @@ func majority(samples []string, pred func(string) bool) bool {
 	return n > 0 && hits*2 > n
 }
 
-func meanStd(vals []float64) (mean, std float64) {
+// meanStd returns the mean and population standard deviation of vals,
+// summing in order in two passes. Integer series convert each element to
+// float64 exactly, so they round exactly as a float64 series would.
+func meanStd[T float64 | int32](vals []T) (mean, std float64) {
 	if len(vals) == 0 {
 		return 0, 0
 	}
 	for _, v := range vals {
-		mean += v
+		mean += float64(v)
 	}
 	mean /= float64(len(vals))
 	if len(vals) == 1 {
 		return mean, 0
 	}
 	for _, v := range vals {
-		d := v - mean
+		d := float64(v) - mean
 		std += d * d
 	}
 	std = math.Sqrt(std / float64(len(vals)))

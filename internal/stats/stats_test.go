@@ -117,8 +117,8 @@ func TestVectorAlwaysFinite(t *testing.T) {
 	}
 }
 
-// TestMeanStdAgainstNaive checks the streaming moments against a naive
-// implementation on random numeric columns.
+// TestMeanStdAgainstNaive checks Compute's two-pass moments against a
+// naive implementation on random numeric columns.
 func TestMeanStdAgainstNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 20; trial++ {
