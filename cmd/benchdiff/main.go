@@ -337,8 +337,7 @@ func loadBaseline(path string) (entry, error) {
 // gate compares cur against base and prints a per-benchmark report plus
 // per-metric geomeans. It returns 1 when a baseline benchmark is missing
 // from the run or a gated metric's geomean regresses past its tolerance.
-// Runs at different GOMAXPROCS get a notice, not a failure: the gated
-// alloc metrics of the serial benchmarks do not depend on it.
+// Runs taken at different GOMAXPROCS get a notice, not a failure.
 func gate(stdout, stderr io.Writer, base entry, cur map[string]metrics, host machine, gated map[string]bool, tol, timeTol float64) int {
 	names := make([]string, 0, len(base.Benchmarks))
 	for name := range base.Benchmarks {

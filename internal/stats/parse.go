@@ -19,9 +19,9 @@ import (
 // decoration: "45" and "-3.2e4" parse, "USD 45" and "1,234" do not.
 func ParseFloat(v string) (float64, bool) {
 	v = strings.TrimSpace(v)
-	// The syntax screen rejects exactly-unparseable cells up front, which
-	// skips the *NumError strconv would allocate for each of the (very
-	// common) non-numeric cells on the featurize hot path.
+	// The syntax screen turns away cells strconv could not parse before
+	// calling it, which skips the *NumError strconv would allocate for each
+	// of the (very common) non-numeric cells on the featurize hot path.
 	if !floatSyntax(v) {
 		return 0, false
 	}
@@ -272,6 +272,7 @@ type dateShape struct {
 	letter bool // holds an ASCII letter
 }
 
+// shapeOf counts v's layout literals and notes whether it has a letter.
 func shapeOf(v string) dateShape {
 	var sh dateShape
 	for i := 0; i < len(v); i++ {
