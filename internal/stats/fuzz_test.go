@@ -38,7 +38,7 @@ func FuzzCompute(f *testing.F) {
 		"https://a.com\nhttps://b.org\nn/a",
 		"2020-01-02\n2021-03-04\n-\n2022-12-31",
 		"The cat and the dog.\n(a) is IT\nwhich, there; their|about",
-		" NA\nK\nKévin\nnaïve café",
+		"\u00a0NA\n\u212a\nKévin\nnaïve café",
 		"1e400\n-0\n+inf\nnan\n0x1p-2\n1_000\n.5\n5.",
 		"a\tb\r\nc\vd\fe\u0085f g",
 		"rock|pop|jazz\nru; uk; mx\na, b, c",
@@ -145,7 +145,7 @@ func TestScanCellMatchesHelpers(t *testing.T) {
 	for _, v := range []string{
 		"", " ", "a", "The", "(the)", "\"It's\"", "and/or", "a\tb\nc\rd\ve\ff",
 		"  leading and trailing  ", "which,there;their|about", "ABOUT!!", "...",
-		"x y", "K", "café and the", "\xff\xfe the", "12 34.5 -6",
+		"x\u00a0y", "\u212a", "café and the", "\xff\xfe the", "12 34.5 -6",
 	} {
 		got := scanCell(v)
 		want := cellCounts{int32(CountWords(v)), int32(CountStopwords(v)), int32(CountWhitespace(v)), int32(CountDelimiters(v))}
@@ -166,7 +166,7 @@ func TestComputeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
-	col := &data.Column{Name: "a", Values: []string{"1", "2.5", "NA", "The cat", "x,y;z", "2020-01-02", " n/a"}}
+	col := &data.Column{Name: "a", Values: []string{"1", "2.5", "NA", "The cat", "x,y;z", "2020-01-02", "\u00a0n/a"}}
 	samples := col.FirstNDistinct(5)
 	Compute(col, samples)
 	if n := testing.AllocsPerRun(100, func() { Compute(col, samples) }); n > 2 {
