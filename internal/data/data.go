@@ -36,25 +36,13 @@ var MissingTokens = map[string]bool{
 
 // IsMissing reports whether a raw cell value counts as missing: whether
 // MissingTokens holds its trimmed, lower-cased form. It runs once per
-// distinct cell on the featurize hot path, so it avoids strings.ToLower's
-// allocation where it can: a value with no upper-case or non-ASCII byte is
-// already its own lower-case form, and an ASCII value that fits the stack
-// buffer is lowered there (a map lookup keyed by a converted byte slice
-// does not allocate).
+// distinct cell on the featurize hot path, so an ASCII value that fits the
+// stack buffer is lowered there (a map lookup keyed by a converted byte
+// slice does not allocate). Longer and non-ASCII values take
+// strings.ToLower, whose Unicode case mapping (e.g. the Kelvin sign
+// lowering to 'k') stays authoritative.
 func IsMissing(v string) bool {
 	v = strings.TrimSpace(v)
-	for i := 0; i < len(v); i++ {
-		if c := v[i]; c >= utf8.RuneSelf || 'A' <= c && c <= 'Z' {
-			return isMissingFolded(v)
-		}
-	}
-	return MissingTokens[v]
-}
-
-// isMissingFolded is IsMissing for a trimmed value that needs case folding.
-// Non-ASCII values take strings.ToLower, whose Unicode case mapping (e.g.
-// the Kelvin sign lowering to 'k') stays authoritative.
-func isMissingFolded(v string) bool {
 	var buf [256]byte
 	if len(v) > len(buf) {
 		return MissingTokens[strings.ToLower(v)]

@@ -2,7 +2,9 @@ package gateway
 
 import (
 	"bytes"
+	"encoding/csv"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -242,5 +244,90 @@ func TestChaosLyingReplicaRejected(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestInferCSVNonUTF8Header posts a table whose header is Latin-1, not
+// UTF-8 (a common spreadsheet export), through the gateway's CSV endpoint.
+// The shard request carries each invalid header byte as U+FFFD, the
+// substitution encoding/json makes, so that is the name an honest replica
+// echoes. The gateway must accept the echo: the batch comes back complete,
+// undegraded, with no replica charged an error, and every column answered
+// as a lone replica answers the same table.
+func TestInferCSVNonUTF8Header(t *testing.T) {
+	fleet, addrs := startFleet(t, 3, nil)
+	g := newTestGateway(t, addrs, nil)
+
+	req := testBatch(12)
+	var table bytes.Buffer
+	cw := csv.NewWriter(&table)
+	row := make([]string, len(req.Columns))
+	for i := range req.Columns {
+		row[i] = fmt.Sprintf("Temp\xe9rature_%d", i)
+	}
+	if err := cw.Write(row); err != nil {
+		t.Fatal(err)
+	}
+	for j := range req.Columns[0].Values {
+		for i := range req.Columns {
+			row[i] = req.Columns[i].Values[j]
+		}
+		if err := cw.Write(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cw.Flush()
+
+	rec := httptest.NewRecorder()
+	g.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/infer/csv", bytes.NewReader(table.Bytes())))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
+	}
+	var resp BatchResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.DegradedColumns != 0 || resp.ReroutedColumns != 0 {
+		t.Errorf("%d degraded and %d rerouted columns, want none", resp.DegradedColumns, resp.ReroutedColumns)
+	}
+	for i := range g.replicas {
+		if n := g.replicas[i].errors.Load(); n != 0 {
+			t.Errorf("replica %d charged %d errors for honest answers", i, n)
+		}
+	}
+
+	lone := httptest.NewRecorder()
+	fleet[0].srv.Handler().ServeHTTP(lone, httptest.NewRequest(http.MethodPost, "/v1/infer/csv", bytes.NewReader(table.Bytes())))
+	var want serve.InferResponse
+	if err := json.Unmarshal(lone.Body.Bytes(), &want); err != nil {
+		t.Fatalf("lone replica: %v: %s", err, lone.Body.Bytes())
+	}
+	if len(resp.Predictions) != len(req.Columns) {
+		t.Fatalf("%d predictions for %d columns", len(resp.Predictions), len(req.Columns))
+	}
+	for i, p := range resp.Predictions {
+		name := fmt.Sprintf("Temp\ufffdrature_%d", i)
+		if w := want.Predictions[i]; p.Name != name || p.Type != w.Type {
+			t.Errorf("column %d answered %q/%s, want %q/%s", i, p.Name, p.Type, name, w.Type)
+		}
+	}
+}
+
+// TestWireNameMatchesJSON pins wireName to encoding/json's treatment of
+// invalid UTF-8: for every name, it is what a replica decodes from the
+// shard request.
+func TestWireNameMatchesJSON(t *testing.T) {
+	for _, name := range []string{"", "col_1", "caf\u00e9", "\ufffd", "Temp\xe9rature", "\xff\xfe", "a\xc3", "\xe2\x82x", "\xed\xa0\x80"} {
+		body, err := json.Marshal(serve.InferColumn{Name: name})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var echo serve.InferColumn
+		if err := json.Unmarshal(body, &echo); err != nil {
+			t.Fatal(err)
+		}
+		if got := wireName(name); got != echo.Name {
+			t.Errorf("wireName(%q) = %q, encoding/json carries %q", name, got, echo.Name)
+		}
 	}
 }

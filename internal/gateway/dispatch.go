@@ -8,8 +8,10 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"sortinghat/ftype"
 	"sortinghat/internal/data"
@@ -425,11 +427,32 @@ func answerLimit(cols []data.Column) int64 {
 // its column's name or whose type is not a known class, or -1.
 func badAnswer(cols []data.Column, preds []serve.InferPrediction) int {
 	for i := range preds {
-		if preds[i].Name != cols[i].Name || !answerClasses[preds[i].Type] {
+		name := preds[i].Name
+		if name != cols[i].Name && name != wireName(cols[i].Name) || !answerClasses[preds[i].Type] {
 			return i
 		}
 	}
 	return -1
+}
+
+// wireName is a column name as the shard request carries it:
+// encoding/json replaces each byte of invalid UTF-8 (a Latin-1 CSV header,
+// say) with U+FFFD, so that is the name an honest replica echoes.
+func wireName(name string) string {
+	if utf8.ValidString(name) {
+		return name
+	}
+	var b strings.Builder
+	for i := 0; i < len(name); {
+		r, size := utf8.DecodeRuneInString(name[i:])
+		if r == utf8.RuneError && size == 1 {
+			b.WriteRune(utf8.RuneError)
+		} else {
+			b.WriteString(name[i : i+size])
+		}
+		i += size
+	}
+	return b.String()
 }
 
 // answerClasses are the class labels a replica may answer with: every

@@ -59,68 +59,61 @@ func TestChaosBrownoutBoundedAmplification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The brownout victim: one worker, uncached, every featurize slowed
+	// 120ms, and a request deadline short enough that most of a queued
+	// shard expires before pickup.
+	slowSrv := serve.New(model, serve.Config{
+		Workers:      1,
+		CacheSize:    -1,
+		Timeout:      250 * time.Millisecond,
+		ModelVersion: "slow",
+		Faults:       slowInj,
+	})
+	t.Cleanup(slowSrv.Close)
+	// Ring ownership hashes the listeners' addresses, so the victim is
+	// picked after boot: the replica owning the most of the fixture batch
+	// takes the slow server's place.
+	var slowIdx atomic.Int32
+	slowIdx.Store(-1)
+	fleet, addrs := startFleet(t, 3, func(i int, h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if int(slowIdx.Load()) == i {
+				slowSrv.Handler().ServeHTTP(w, r)
+				return
+			}
+			h.ServeHTTP(w, r)
+		})
+	})
 	const burst = 6
+	g := newTestGateway(t, addrs, func(c *Config) {
+		c.Timeout = 5 * time.Second
+		// A fixed-size budget: starts at burst, refills ~never, so the
+		// drill's speculative legs are bounded by exactly burst tokens.
+		c.RetryBudget = resilience.RetryBudgetConfig{Burst: burst, Ratio: 1e-9, MinPerSec: -1}
+		// Keep the slow replica's breaker closed for all ten batches so the
+		// budget — not the breaker — is what bounds the retries.
+		c.Breaker = resilience.BreakerConfig{FailureThreshold: 100}
+	})
+
 	req := testBatch(24)
 	cols := make([]data.Column, len(req.Columns))
+	shard := make([]int, len(fleet))
 	for i := range req.Columns {
 		cols[i] = toColumn(req.Columns[i])
+		shard[g.ring.Owner(ringKey(&cols[i]))]++
 	}
-	var (
-		addrs     []string
-		slowAddr  string
-		slowSrv   *serve.Server
-		g         *Gateway
-		slowShard int
-	)
-	// Ring ownership hashes the listeners' addresses, so the slow
-	// replica's share of the fixture batch depends on the ports the OS
-	// hands out; boot fleets until it owns enough columns to expire some
-	// in queue (unused fleets are closed at cleanup).
-	for attempt := 0; slowShard < 5; attempt++ {
-		if attempt == 20 {
-			t.Fatalf("fixture batch gives the slow replica only %d columns; too few to expire any in queue", slowShard)
+	slow := 0
+	for r := range shard {
+		if shard[r] > shard[slow] {
+			slow = r
 		}
-		addrs = nil
-		for i := 0; i < 3; i++ {
-			cfg := serve.Config{Workers: 2, CacheSize: 1024, ModelVersion: fmt.Sprintf("m%d", i)}
-			if i == 0 {
-				// The brownout victim: one worker, uncached, every featurize
-				// slowed 120ms, and a request deadline short enough that most of
-				// a queued shard expires before pickup.
-				cfg = serve.Config{
-					Workers:      1,
-					CacheSize:    -1,
-					Timeout:      250 * time.Millisecond,
-					ModelVersion: "slow",
-					Faults:       slowInj,
-				}
-			}
-			s := serve.New(model, cfg)
-			ts := httptest.NewServer(s.Handler())
-			t.Cleanup(ts.Close)
-			t.Cleanup(s.Close)
-			addrs = append(addrs, ts.URL)
-			if i == 0 {
-				slowAddr, slowSrv = ts.URL, s
-			}
-		}
-
-		g = newTestGateway(t, addrs, func(c *Config) {
-			c.Timeout = 5 * time.Second
-			// A fixed-size budget: starts at burst, refills ~never, so the
-			// drill's speculative legs are bounded by exactly burst tokens.
-			c.RetryBudget = resilience.RetryBudgetConfig{Burst: burst, Ratio: 1e-9, MinPerSec: -1}
-			// Keep the slow replica's breaker closed for all ten batches so the
-			// budget — not the breaker — is what bounds the retries.
-			c.Breaker = resilience.BreakerConfig{FailureThreshold: 100}
-		})
-
-		slow := replicaByAddr(g, slowAddr)
-		slowShard = 0
-		for i := range cols {
-			if g.ring.Owner(ringKey(&cols[i])) == slow {
-				slowShard++
-			}
+	}
+	if shard[slow] < 5 {
+		t.Fatalf("fixture batch gives the slow replica only %d columns; too few to expire any in queue", shard[slow])
+	}
+	for i := range fleet {
+		if replicaByAddr(g, fleet[i].http.URL) == slow {
+			slowIdx.Store(int32(i))
 		}
 	}
 	ngroups := len(g.shardGroups(cols))

@@ -146,21 +146,12 @@ var (
 	embeddedNumRe = regexp.MustCompile(`(?i)^[^\d]{0,8}\d[\d,.'  ]*\s*(%|[a-z$€£¥]{1,12}\.?)?$|^[a-z$€£¥]{1,8}\s*\d[\d,.]*$`)
 )
 
-// The sample checks below screen with strings.Contains/ContainsAny before
-// running their regular expression: each screen is a literal every match
-// of the expression must contain, so it only saves the regexp machinery
-// on the (common) cells that cannot match.
-
 // IsURL reports whether the cell follows the URL standard: a protocol
 // followed by a domain, with an optional path.
-func IsURL(v string) bool {
-	return strings.Contains(v, "://") && urlRe.MatchString(strings.TrimSpace(v))
-}
+func IsURL(v string) bool { return urlRe.MatchString(strings.TrimSpace(v)) }
 
 // IsEmail reports whether the cell looks like an email address.
-func IsEmail(v string) bool {
-	return strings.IndexByte(v, '@') >= 0 && emailRe.MatchString(strings.TrimSpace(v))
-}
+func IsEmail(v string) bool { return emailRe.MatchString(strings.TrimSpace(v)) }
 
 // IsList reports whether the cell is a delimiter-separated series of items,
 // e.g. "ru; uk; mx" or "rock|pop|jazz".
@@ -169,17 +160,15 @@ func IsList(v string) bool {
 	if v == "" {
 		return false
 	}
-	if strings.ContainsAny(v, ";|") && listRe.MatchString(v) {
+	if listRe.MatchString(v) {
 		return true
 	}
-	return strings.Count(v, ",") >= 2 && listCommaRe.MatchString(v)
+	return listCommaRe.MatchString(v)
 }
 
 // HasDelimiterSequence reports whether the cell contains list-style
 // delimiter characters at all; a weaker signal than IsList.
-func HasDelimiterSequence(v string) bool {
-	return strings.ContainsAny(v, ";|,") && delimSeqRe.MatchString(v)
-}
+func HasDelimiterSequence(v string) bool { return delimSeqRe.MatchString(v) }
 
 // LooksEmbeddedNumber reports whether the cell contains a number embedded in
 // messy syntax: units ("30 Mhz"), currencies ("USD 45"), percents

@@ -13,10 +13,10 @@ import (
 // This file keeps the original multi-pass Compute as the differential
 // reference for the one-pass implementation. Its body is the former
 // production code verbatim, with the shared classifiers swapped for the
-// plain formulations they replaced (refIsMissing, refParseFloat, refIsDate
-// and the unscreened sample checks), so a divergence in either layer shows
-// up here. The rune-based Count* helpers are still exported and unchanged,
-// so the reference calls them directly.
+// plain formulations they replaced (refIsMissing, refParseFloat and
+// refIsDate), so a divergence in either layer shows up here. The rune-based
+// Count* helpers and the regexp sample checks are still exported and
+// unchanged, so the reference calls them directly.
 
 // refIsMissing is the original allocation-heavy missing-value check.
 func refIsMissing(v string) bool {
@@ -55,22 +55,6 @@ func refIsDate(v string) bool {
 	}
 	return false
 }
-
-// refIsURL, refIsEmail, refIsList and refHasDelimiterSequence are the
-// sample checks without their literal pre-screens.
-func refIsURL(v string) bool   { return urlRe.MatchString(strings.TrimSpace(v)) }
-func refIsEmail(v string) bool { return emailRe.MatchString(strings.TrimSpace(v)) }
-func refIsList(v string) bool {
-	v = strings.TrimSpace(v)
-	if v == "" {
-		return false
-	}
-	if listRe.MatchString(v) {
-		return true
-	}
-	return listCommaRe.MatchString(v)
-}
-func refHasDelimiterSequence(v string) bool { return delimSeqRe.MatchString(v) }
 
 // refCompute is the original multi-pass Compute.
 func refCompute(col *data.Column, samples []string) Stats {
@@ -132,10 +116,10 @@ func refCompute(col *data.Column, samples []string) Stats {
 	s.MeanWhitespaceCount, s.StdWhitespaceCount = meanStd(wsC)
 	s.MeanDelimCount, s.StdDelimCount = meanStd(delimC)
 
-	s.SampleHasURL = refMajority(samples, refIsURL)
-	s.SampleHasEmail = refMajority(samples, refIsEmail)
-	s.SampleHasDelimSeq = refMajority(samples, refHasDelimiterSequence)
-	s.SampleHasList = refMajority(samples, refIsList)
+	s.SampleHasURL = refMajority(samples, IsURL)
+	s.SampleHasEmail = refMajority(samples, IsEmail)
+	s.SampleHasDelimSeq = refMajority(samples, HasDelimiterSequence)
+	s.SampleHasList = refMajority(samples, IsList)
 	s.SampleHasDate = refMajority(samples, refIsDate)
 	return s
 }
