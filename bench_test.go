@@ -345,10 +345,7 @@ func BenchmarkServeInfer(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cols := make([]data.Column, 64)
-	for i := range cols {
-		cols[i] = env.Corpus[i%len(env.Corpus)].Column
-	}
+	cols := benchBatch(env)
 
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(sizeName("workers", workers), func(b *testing.B) {
@@ -381,14 +378,7 @@ func BenchmarkServeInfer(b *testing.B) {
 		s := serve.New(rf, serve.Config{Workers: 4, CacheSize: -1})
 		defer s.Close()
 		h := s.Handler()
-		req := serve.InferRequest{Columns: make([]serve.InferColumn, len(cols))}
-		for i, c := range cols {
-			req.Columns[i] = serve.InferColumn{Name: c.Name, Values: c.Values}
-		}
-		body, err := json.Marshal(req)
-		if err != nil {
-			b.Fatal(err)
-		}
+		body := inferBody(b, cols)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			rec := httptest.NewRecorder()
@@ -398,6 +388,46 @@ func BenchmarkServeInfer(b *testing.B) {
 			}
 		}
 	})
+}
+
+// benchBatch is the serve benchmarks' 64-column batch.
+func benchBatch(env *experiments.Env) []data.Column {
+	cols := make([]data.Column, 64)
+	for i := range cols {
+		cols[i] = env.Corpus[i%len(env.Corpus)].Column
+	}
+	return cols
+}
+
+// inferBody is the /v1/infer JSON body of cols, as a client's
+// encoding/json writes it.
+func inferBody(b *testing.B, cols []data.Column) []byte {
+	req := serve.InferRequest{Columns: make([]serve.InferColumn, len(cols))}
+	for i, c := range cols {
+		req.Columns[i] = serve.InferColumn{Name: c.Name, Values: c.Values}
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return body
+}
+
+// BenchmarkDecodeInferRequest decodes BenchmarkServeInfer's 64-column
+// batch as a /v1/infer body with the wire codec both tiers run on every
+// JSON request; ns/col is the per-column cost.
+func BenchmarkDecodeInferRequest(b *testing.B) {
+	cols := benchBatch(benchEnvironment())
+	body := inferBody(b, cols)
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := serve.DecodeInferRequest(body, len(cols)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(cols)), "ns/col")
 }
 
 func sizeName(prefix string, n int) string {

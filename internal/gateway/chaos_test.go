@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"sortinghat/internal/data"
 	"sortinghat/internal/resilience/faultinject"
 	"sortinghat/internal/serve"
 )
@@ -21,38 +22,46 @@ import (
 // every forward to one of three replicas and checks the gateway routes
 // its columns to the survivors: the batch comes back complete and
 // ordered, the rerouted count equals the dead replica's shard, and no
-// column degrades to the rule fallback.
+// column degrades to the rule fallback. Ring ownership hashes the
+// replicas' random test ports, so the faulted replica is the one that
+// owns the most of the batch, never one that may own none of it.
 func TestChaosReplicaErrorsRerouted(t *testing.T) {
 	_, addrs := startFleet(t, 3, nil)
-	inj, err := faultinject.Parse("forward@r1:error:1", 7)
+	ring, err := NewRing(addrs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := newTestGateway(t, addrs, func(c *Config) { c.Faults = inj })
-
 	req := testBatch(30)
 	ownerCols := make([]int, 3)
 	for i := range req.Columns {
 		col := toColumn(req.Columns[i])
-		ownerCols[g.ring.Owner(ringKey(&col))]++
+		ownerCols[ring.Owner(ringKey(&col))]++
 	}
-	if ownerCols[1] == 0 {
-		t.Fatal("fixture batch gives r1 no columns; the fault would be untested")
+	victim := 0
+	for r, n := range ownerCols {
+		if n > ownerCols[victim] {
+			victim = r
+		}
 	}
+	inj, err := faultinject.Parse(fmt.Sprintf("forward@r%d:error:1", victim), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := newTestGateway(t, addrs, func(c *Config) { c.Faults = inj })
 
 	rec, resp := postBatch(t, g.Handler(), req)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
 	}
 	requireOrdered(t, req, resp)
-	if resp.ReroutedColumns != ownerCols[1] {
-		t.Errorf("rerouted %d columns, want r1's full shard of %d", resp.ReroutedColumns, ownerCols[1])
+	if resp.ReroutedColumns != ownerCols[victim] {
+		t.Errorf("rerouted %d columns, want r%d's full shard of %d", resp.ReroutedColumns, victim, ownerCols[victim])
 	}
 	if resp.DegradedColumns != 0 {
-		t.Errorf("%d degraded columns — two healthy replicas should absorb r1's shard", resp.DegradedColumns)
+		t.Errorf("%d degraded columns — two healthy replicas should absorb r%d's shard", resp.DegradedColumns, victim)
 	}
-	if got := g.met.rerouted.Load(); got != int64(ownerCols[1]) {
-		t.Errorf("rerouted_columns_total = %d, want %d", got, ownerCols[1])
+	if got := g.met.rerouted.Load(); got != int64(ownerCols[victim]) {
+		t.Errorf("rerouted_columns_total = %d, want %d", got, ownerCols[victim])
 	}
 	if g.met.shardErrors.Load() == 0 {
 		t.Error("no shard errors counted for the injected failures")
@@ -69,43 +78,51 @@ func TestChaosReplicaErrorsRerouted(t *testing.T) {
 // response, with the kill visible in the rerouted counts.
 func TestChaosReplicaKilledMidBatch(t *testing.T) {
 	var (
-		victimHit  = make(chan struct{})
-		hitOnce    sync.Once
-		victimAddr string
+		victimHit = make(chan struct{})
+		hitOnce   sync.Once
+		victim    atomic.Int32 // boot index of the replica to kill
 	)
+	victim.Store(-1)
 	fleet, addrs := startFleet(t, 3, func(i int, h http.Handler) http.Handler {
-		if i != 1 {
-			return h
-		}
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == "/v1/infer" {
+			if int(victim.Load()) == i && r.URL.Path == "/v1/infer" {
 				hitOnce.Do(func() { close(victimHit) })
 				time.Sleep(300 * time.Millisecond) // hold the request so the kill lands mid-flight
 			}
 			h.ServeHTTP(w, r)
 		})
 	})
-	victimAddr = fleet[1].http.URL
 	g := newTestGateway(t, addrs, nil)
 
+	// Ring ownership hashes the replicas' random test ports, so the
+	// victim is the replica owning the most of the batch, never one that
+	// may own none of it.
 	req := testBatch(30)
-	victim := replicaByAddr(g, victimAddr)
-	victimShard := 0
+	shards := make([]int, len(addrs))
 	for i := range req.Columns {
 		col := toColumn(req.Columns[i])
-		if g.ring.Owner(ringKey(&col)) == victim {
-			victimShard++
+		shards[g.ring.Owner(ringKey(&col))]++
+	}
+	owner := 0
+	for r, n := range shards {
+		if n > shards[owner] {
+			owner = r
 		}
 	}
-	if victimShard == 0 {
-		t.Fatal("fixture batch gives the victim no columns; the kill would be untested")
+	victimShard := shards[owner]
+	boot := 0
+	for i := range fleet {
+		if replicaByAddr(g, fleet[i].http.URL) == owner {
+			boot = i
+		}
 	}
+	victim.Store(int32(boot))
 
 	killed := make(chan struct{})
 	go func() {
 		defer close(killed)
 		<-victimHit
-		fleet[1].http.CloseClientConnections() // the mid-batch kill
+		fleet[boot].http.CloseClientConnections() // the mid-batch kill
 	}()
 	rec, resp := postBatch(t, g.Handler(), req)
 	<-killed
@@ -313,11 +330,11 @@ func TestInferCSVNonUTF8Header(t *testing.T) {
 	}
 }
 
-// TestWireNameMatchesJSON pins wireName to encoding/json's treatment of
-// invalid UTF-8: for every name, it is what a replica decodes from the
-// shard request.
+// TestWireNameMatchesJSON pins wireName to the shard request's treatment
+// of invalid UTF-8: for every name, it is what encoding/json carries and
+// what a replica decodes from the body serve.AppendInferRequest builds.
 func TestWireNameMatchesJSON(t *testing.T) {
-	for _, name := range []string{"", "col_1", "caf\u00e9", "\ufffd", "Temp\xe9rature", "\xff\xfe", "a\xc3", "\xe2\x82x", "\xed\xa0\x80"} {
+	for _, name := range []string{"", "col_1", "caf\u00e9", "\ufffd", "Temp\xe9rature", "\xff\xfe", "a\xc3", "\xe2\x82x", "\xed\xa0\x80", "<&>\u2028"} {
 		body, err := json.Marshal(serve.InferColumn{Name: name})
 		if err != nil {
 			t.Fatal(err)
@@ -328,6 +345,13 @@ func TestWireNameMatchesJSON(t *testing.T) {
 		}
 		if got := wireName(name); got != echo.Name {
 			t.Errorf("wireName(%q) = %q, encoding/json carries %q", name, got, echo.Name)
+		}
+		cols, err := serve.DecodeInferRequest(serve.AppendInferRequest(nil, []data.Column{{Name: name}}), 1)
+		if err != nil || len(cols) != 1 {
+			t.Fatalf("shard body for %q decodes to %v, %v", name, cols, err)
+		}
+		if got := wireName(name); got != cols[0].Name {
+			t.Errorf("wireName(%q) = %q, the shard body carries %q", name, got, cols[0].Name)
 		}
 	}
 }

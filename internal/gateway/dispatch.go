@@ -341,14 +341,7 @@ var errBudgetSpent = fmt.Errorf("gateway: request budget spent before forwarding
 // budget propagated via X-Deadline-Ms so the replica never works on an
 // answer the gateway has stopped waiting for.
 func (g *Gateway) postInfer(ctx context.Context, addr string, cols []data.Column) (*serve.InferResponse, shardMeta, error) {
-	req := serve.InferRequest{Columns: make([]serve.InferColumn, len(cols))}
-	for i, c := range cols {
-		req.Columns[i] = serve.InferColumn{Name: c.Name, Values: c.Values}
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, shardMeta{}, fmt.Errorf("encoding shard request: %w", err)
-	}
+	body := serve.AppendInferRequest(nil, cols)
 	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, addr+"/v1/infer", bytes.NewReader(body))
 	if err != nil {
 		return nil, shardMeta{}, err
@@ -436,8 +429,9 @@ func badAnswer(cols []data.Column, preds []serve.InferPrediction) int {
 }
 
 // wireName is a column name as the shard request carries it:
-// encoding/json replaces each byte of invalid UTF-8 (a Latin-1 CSV header,
-// say) with U+FFFD, so that is the name an honest replica echoes.
+// serve.AppendInferRequest, like encoding/json, replaces each byte of
+// invalid UTF-8 (a Latin-1 CSV header, say) with U+FFFD, so that is the
+// name an honest replica echoes.
 func wireName(name string) string {
 	if utf8.ValidString(name) {
 		return name

@@ -121,6 +121,30 @@ func testBatch(n int) serve.InferRequest {
 	return req
 }
 
+// spanningBatch is the smallest testBatch of at least n columns that
+// gives every replica in addrs a column. Ring ownership hashes the
+// replicas' random test ports, so a fixed batch can miss a replica.
+func spanningBatch(t *testing.T, addrs []string, n int) serve.InferRequest {
+	t.Helper()
+	ring, err := NewRing(addrs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for size := n; size <= 16*n; size++ {
+		req := testBatch(size)
+		owned := make(map[int]bool, len(addrs))
+		for i := range req.Columns {
+			col := toColumn(req.Columns[i])
+			owned[ring.Owner(ringKey(&col))] = true
+		}
+		if len(owned) == len(addrs) {
+			return req
+		}
+	}
+	t.Fatalf("no batch of %d to %d columns spans all %d replicas", n, 16*n, len(addrs))
+	return serve.InferRequest{}
+}
+
 // postBatch drives POST /v1/infer through the gateway handler.
 func postBatch(t *testing.T, h http.Handler, req serve.InferRequest) (*httptest.ResponseRecorder, BatchResponse) {
 	t.Helper()
@@ -166,7 +190,7 @@ func TestGatewayShardsAndReassembles(t *testing.T) {
 	g := newTestGateway(t, addrs, nil)
 	h := g.Handler()
 
-	req := testBatch(24)
+	req := spanningBatch(t, addrs, 24)
 	rec, resp := postBatch(t, h, req)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
@@ -266,7 +290,7 @@ func TestGatewayVersionSkewVisible(t *testing.T) {
 	_, addrs := startFleet(t, 2, nil) // replica i serves version "mi"
 	g := newTestGateway(t, addrs, nil)
 
-	req := testBatch(24)
+	req := spanningBatch(t, addrs, 24)
 	rec, resp := postBatch(t, g.Handler(), req)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d", rec.Code)
@@ -307,7 +331,7 @@ func TestGatewayHedgesSlowShard(t *testing.T) {
 	slowAddr = fleet[0].http.URL
 	g := newTestGateway(t, addrs, func(c *Config) { c.Hedge = 50 * time.Millisecond })
 
-	req := testBatch(24)
+	req := spanningBatch(t, addrs, 24) // the slow replica must own columns
 	start := time.Now()
 	rec, resp := postBatch(t, g.Handler(), req)
 	elapsed := time.Since(start)

@@ -152,9 +152,12 @@ func (g *Gateway) handleInfer(w http.ResponseWriter, r *http.Request) {
 	span.SetAttr("request_id", obs.RequestIDFrom(ctx))
 	defer span.End()
 
-	var req serve.InferRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
-	if err := dec.Decode(&req); err != nil {
+	// Past the column limit the decoder stops early and hands over the
+	// columns it read, so serveBatch rejects the batch as too large.
+	cols, err := serve.ReadInferRequest(w, r, maxRequestBody, g.cfg.MaxBatch)
+	decode := time.Since(start)
+	g.met.decode.Observe(decode.Seconds())
+	if err != nil && !errors.Is(err, serve.ErrTooManyColumns) {
 		g.met.requestErrors.Add(1)
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
@@ -164,11 +167,7 @@ func (g *Gateway) handleInfer(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "decoding request: "+err.Error())
 		return
 	}
-	cols := make([]data.Column, len(req.Columns))
-	for i, c := range req.Columns {
-		cols[i] = data.Column{Name: c.Name, Values: c.Values}
-	}
-	g.serveBatch(w, ctx, span, start, r.URL.Path, r.Header.Get(serve.DeadlineHeader), cols)
+	g.serveBatch(w, ctx, span, start, decode, r.URL.Path, r.Header.Get(serve.DeadlineHeader), cols)
 }
 
 // handleInferCSV ingests a whole table as CSV and shards its columns,
@@ -194,6 +193,8 @@ func (g *Gateway) handleInferCSV(w http.ResponseWriter, r *http.Request) {
 		MaxColumns:   g.cfg.MaxBatch,
 		MaxCellBytes: g.cfg.MaxCellBytes,
 	})
+	decode := time.Since(start)
+	g.met.decode.Observe(decode.Seconds())
 	if err != nil {
 		g.met.requestErrors.Add(1)
 		var tooLarge *http.MaxBytesError
@@ -207,18 +208,18 @@ func (g *Gateway) handleInferCSV(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	g.serveBatch(w, ctx, span, start, r.URL.Path, r.Header.Get(serve.DeadlineHeader), ds.Columns)
+	g.serveBatch(w, ctx, span, start, decode, r.URL.Path, r.Header.Get(serve.DeadlineHeader), ds.Columns)
 }
 
 // serveBatch is the shared tail of the infer handlers: validate, admit
 // through the gate, scatter by ring ownership, gather, and reassemble
 // in request order. Once the response is decided the request is offered
 // to the flight recorder with its trace identity, per-phase durations
-// (dispatch, hedge, reassemble) and the routing decisions that shaped
-// the answer.
+// (decode, the handler's body read and decode; dispatch; hedge;
+// reassemble) and the routing decisions that shaped the answer.
 //
 //shvet:hotpath request tail of every gateway infer endpoint; all per-request instrumentation lands here
-func (g *Gateway) serveBatch(w http.ResponseWriter, ctx context.Context, span *obs.Span, start time.Time, path, deadlineMS string, cols []data.Column) {
+func (g *Gateway) serveBatch(w http.ResponseWriter, ctx context.Context, span *obs.Span, start time.Time, decode time.Duration, path, deadlineMS string, cols []data.Column) {
 	status, errMsg := http.StatusOK, ""
 	var dispatchDur, hedgeDur, reassembleDur time.Duration
 	var notes []string
@@ -231,6 +232,7 @@ func (g *Gateway) serveBatch(w http.ResponseWriter, ctx context.Context, span *o
 			DurationNS: time.Since(start).Nanoseconds(),
 			Columns:    len(cols),
 			Phases: []obs.Phase{
+				{Name: "decode", DurationNS: decode.Nanoseconds()},
 				{Name: "dispatch", DurationNS: dispatchDur.Nanoseconds()},
 				{Name: "hedge", DurationNS: hedgeDur.Nanoseconds()},
 				{Name: "reassemble", DurationNS: reassembleDur.Nanoseconds()},

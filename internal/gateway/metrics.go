@@ -30,6 +30,7 @@ type metrics struct {
 	probeTransitions *obs.Counter // replica health state changes observed
 
 	batchSize     *obs.Summary   // batch sizes (columns per request)
+	decode        *obs.Histogram // per-request body read and decode seconds
 	shardLatency  *obs.Histogram // per-sub-request seconds
 	dispatchDur   *obs.Histogram // scatter phase: first dispatch → all groups resolved
 	hedgeDur      *obs.Histogram // hedged groups: first hedge fire → resolution
@@ -85,6 +86,7 @@ func newMetrics(g *Gateway) *metrics {
 		})
 	}
 	m.batchSize = reg.Summary("sortinghatgw_batch_columns", "Columns per gateway request.")
+	m.decode = reg.Histogram("sortinghatgw_decode_seconds", "Per-request body read and decode latency (JSON or CSV).")
 	m.shardLatency = reg.Histogram("sortinghatgw_shard_seconds", "Per-sub-request forwarding latency.")
 	m.dispatchDur = reg.Histogram("sortinghatgw_dispatch_seconds", "Scatter-phase latency: dispatch of the first group until every group resolved.")
 	m.hedgeDur = reg.Histogram("sortinghatgw_hedge_seconds", "Hedge-phase latency of hedged groups: first speculative fire until resolution.")

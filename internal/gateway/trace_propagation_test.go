@@ -107,7 +107,7 @@ func TestFleetTraceStitching(t *testing.T) {
 	g := newTestGateway(t, addrs, func(cfg *Config) { cfg.TraceSink = &gwSink })
 	h := g.Handler()
 
-	body, err := json.Marshal(testBatch(24))
+	body, err := json.Marshal(spanningBatch(t, addrs, 24))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,8 +211,11 @@ func TestGatewayDebugFlight(t *testing.T) {
 	for i, p := range top.Phases {
 		names[i] = p.Name
 	}
-	if strings.Join(names, ",") != "dispatch,hedge,reassemble" {
-		t.Errorf("phase order = %v, want [dispatch hedge reassemble]", names)
+	if strings.Join(names, ",") != "decode,dispatch,hedge,reassemble" {
+		t.Errorf("phase order = %v, want [decode dispatch hedge reassemble]", names)
+	}
+	if top.Phases[0].DurationNS <= 0 {
+		t.Errorf("decode phase = %dns, want the body read and decode timed", top.Phases[0].DurationNS)
 	}
 	if len(top.Notes) == 0 || !strings.HasPrefix(top.Notes[0], "shard r") {
 		t.Errorf("flight notes = %v, want per-shard routing notes", top.Notes)

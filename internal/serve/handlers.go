@@ -208,9 +208,12 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	span.SetAttr("request_id", obs.RequestIDFrom(ctx))
 	defer span.End()
 
-	var req InferRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
-	if err := dec.Decode(&req); err != nil {
+	// Past the column limit the decoder stops early and hands over the
+	// columns it read, so serveBatch rejects the batch as too large.
+	cols, err := ReadInferRequest(w, r, maxRequestBody, s.cfg.MaxBatch)
+	decode := time.Since(start)
+	s.met.decode.Observe(decode.Seconds())
+	if err != nil && !errors.Is(err, ErrTooManyColumns) {
 		s.met.requestErrors.Add(1)
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
@@ -220,11 +223,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "decoding request: "+err.Error())
 		return
 	}
-	cols := make([]data.Column, len(req.Columns))
-	for i, c := range req.Columns {
-		cols[i] = data.Column{Name: c.Name, Values: c.Values}
-	}
-	s.serveBatch(w, ctx, span, start, r.URL.Path, r.Header.Get(DeadlineHeader), cols)
+	s.serveBatch(w, ctx, span, start, decode, r.URL.Path, r.Header.Get(DeadlineHeader), cols)
 }
 
 // handleInferCSV ingests a whole table as CSV (the form AutoML platforms
@@ -253,6 +252,8 @@ func (s *Server) handleInferCSV(w http.ResponseWriter, r *http.Request) {
 		MaxColumns:   s.cfg.MaxBatch,
 		MaxCellBytes: s.cfg.MaxCellBytes,
 	})
+	decode := time.Since(start)
+	s.met.decode.Observe(decode.Seconds())
 	if err != nil {
 		s.met.requestErrors.Add(1)
 		var tooLarge *http.MaxBytesError
@@ -266,18 +267,18 @@ func (s *Server) handleInferCSV(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	s.serveBatch(w, ctx, span, start, r.URL.Path, r.Header.Get(DeadlineHeader), ds.Columns)
+	s.serveBatch(w, ctx, span, start, decode, r.URL.Path, r.Header.Get(DeadlineHeader), ds.Columns)
 }
 
 // serveBatch is the shared tail of the infer handlers: validate the
 // batch, fan it out, and render the response (or map the failure onto the
 // HTTP error surface). It attaches the request's phase accumulator to the
 // context the workers see and, once the response is decided, offers the
-// request to the flight recorder with its identity, per-phase totals and
-// outcome.
+// request to the flight recorder with its identity, per-phase totals
+// (decode is the handler's body read and decode) and outcome.
 //
 //shvet:hotpath request tail of every infer endpoint; all per-request instrumentation lands here
-func (s *Server) serveBatch(w http.ResponseWriter, ctx context.Context, span *obs.Span, start time.Time, path, deadlineMS string, cols []data.Column) {
+func (s *Server) serveBatch(w http.ResponseWriter, ctx context.Context, span *obs.Span, start time.Time, decode time.Duration, path, deadlineMS string, cols []data.Column) {
 	status, errMsg := http.StatusOK, ""
 	var notes []string
 	ctx, acc := withPhases(ctx)
@@ -292,7 +293,7 @@ func (s *Server) serveBatch(w http.ResponseWriter, ctx context.Context, span *ob
 			Status:     status,
 			DurationNS: time.Since(start).Nanoseconds(),
 			Columns:    len(cols),
-			Phases:     acc.phases(),
+			Phases:     acc.phases(decode),
 			Err:        errMsg,
 			Notes:      notes,
 		})

@@ -30,6 +30,7 @@ type metrics struct {
 	reloadErrors    *obs.Counter // rejected /admin/reload requests
 
 	batchSize *obs.Summary   // batch sizes (columns per request)
+	decode    *obs.Histogram // per-request body read and decode seconds
 	queueDur  *obs.Histogram // per-column admission → worker-pickup seconds
 	cacheDur  *obs.Histogram // per-column cache-lookup seconds
 	featurize *obs.Histogram // per-column base-featurization seconds
@@ -73,6 +74,7 @@ func newMetrics(s *Server) *metrics {
 	reg.GaugeFunc("sortinghatd_model_seq", "Monotonic model swap sequence number (1 = the startup model).", func() float64 { return float64(s.current().seq) })
 	reg.GaugeFunc("sortinghatd_uptime_seconds", "Seconds since the server started.", func() float64 { return time.Since(s.start).Seconds() })
 	m.batchSize = reg.Summary("sortinghatd_batch_columns", "Columns per /v1/infer request.")
+	m.decode = reg.Histogram("sortinghatd_decode_seconds", "Per-request body read and decode latency (JSON or CSV).")
 	m.queueDur = reg.Histogram("sortinghatd_queue_seconds", "Per-column wait between admission and worker pickup.")
 	m.cacheDur = reg.Histogram("sortinghatd_cache_seconds", "Per-column prediction cache lookup latency.")
 	m.featurize = reg.Histogram("sortinghatd_featurize_seconds", "Per-column base featurization latency.")

@@ -79,13 +79,15 @@ func (a *phaseAcc) expiredCount() int64 {
 	return a.expired.Load()
 }
 
-// phases renders the accumulated totals in fixed order for a flight
-// record. Nil (no accumulator attached) renders as nil.
-func (a *phaseAcc) phases() []obs.Phase {
+// phases renders the request's decode time and the accumulated totals in
+// fixed order for a flight record. Nil (no accumulator attached) renders
+// as nil.
+func (a *phaseAcc) phases(decode time.Duration) []obs.Phase {
 	if a == nil {
 		return nil
 	}
 	return []obs.Phase{
+		{Name: "decode", DurationNS: decode.Nanoseconds()},
 		{Name: "queue", DurationNS: a.queue.Load()},
 		{Name: "cache", DurationNS: a.cache.Load()},
 		{Name: "featurize", DurationNS: a.featurize.Load()},

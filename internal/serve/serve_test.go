@@ -561,6 +561,7 @@ func TestMetricsRenderPinned(t *testing.T) {
 		"# TYPE sortinghatd_uptime_seconds gauge\n" +
 		"sortinghatd_uptime_seconds X\n" +
 		emptySummary("sortinghatd_batch_columns", "Columns per /v1/infer request.") +
+		emptyHistogramText("sortinghatd_decode_seconds", "Per-request body read and decode latency (JSON or CSV).") +
 		emptyHistogramText("sortinghatd_queue_seconds", "Per-column wait between admission and worker pickup.") +
 		emptyHistogramText("sortinghatd_cache_seconds", "Per-column prediction cache lookup latency.") +
 		emptyHistogramText("sortinghatd_featurize_seconds", "Per-column base featurization latency.") +

@@ -177,8 +177,11 @@ func TestDebugFlight(t *testing.T) {
 	for i, p := range top.Phases {
 		names[i] = p.Name
 	}
-	if strings.Join(names, ",") != "queue,cache,featurize,predict" {
-		t.Errorf("phase order = %v, want [queue cache featurize predict]", names)
+	if strings.Join(names, ",") != "decode,queue,cache,featurize,predict" {
+		t.Errorf("phase order = %v, want [decode queue cache featurize predict]", names)
+	}
+	if top.Phases[0].DurationNS <= 0 {
+		t.Errorf("decode phase = %dns, want the body read and decode timed", top.Phases[0].DurationNS)
 	}
 	if snap.Errored[0].Status != http.StatusGatewayTimeout {
 		t.Errorf("errored ring head status = %d, want 504", snap.Errored[0].Status)

@@ -133,6 +133,7 @@ if has_phase single; then
     grep -q '^sortinghatd_cache_capacity ' "$DIR/metrics.txt"
     grep -q '^sortinghatd_forest_split_nodes ' "$DIR/metrics.txt"
     grep -q '^sortinghatd_featurize_seconds_count ' "$DIR/metrics.txt"
+    grep -q '^sortinghatd_decode_seconds_count 2$' "$DIR/metrics.txt"
 
     echo "smoke: [single] /debug/traces must hold the recorded request traces..."
     curl -fsS "$BASE/debug/traces" >"$DIR/traces.json"
@@ -146,6 +147,7 @@ if has_phase single; then
     echo "smoke: [single] /debug/flight must hold the recorded requests..."
     curl -fsS "$BASE/debug/flight" >"$DIR/flight.json"
     grep -q '"trace_id"' "$DIR/flight.json"
+    grep -q '"name":"decode"' "$DIR/flight.json"
     grep -q '"name":"queue"' "$DIR/flight.json"
     grep -q '"name":"predict"' "$DIR/flight.json"
 
@@ -354,6 +356,7 @@ if has_phase fleet; then
     grep -q '^sortinghatgw_replicas_healthy 2$' "$DIR/gw-metrics.txt"
     grep -q '^sortinghatgw_request_seconds_count 2$' "$DIR/gw-metrics.txt"
     grep -q '^sortinghatgw_dispatch_seconds_count 2$' "$DIR/gw-metrics.txt"
+    grep -q '^sortinghatgw_decode_seconds_count 2$' "$DIR/gw-metrics.txt"
     grep -q '^sortinghatgw_goroutines ' "$DIR/gw-metrics.txt"
 
     echo "smoke: [fleet] one gateway trace id must appear in every trace sink..."
@@ -369,6 +372,7 @@ if has_phase fleet; then
     echo "smoke: [fleet] /debug/flight must explain the recorded requests..."
     curl -fsS "$GWBASE/debug/flight" >"$DIR/gw-flight.json"
     grep -q "\"trace_id\":\"$TRACE\"" "$DIR/gw-flight.json"
+    grep -q '"name":"decode"' "$DIR/gw-flight.json"
     grep -q '"name":"dispatch"' "$DIR/gw-flight.json"
     grep -q '"shard r' "$DIR/gw-flight.json"
     curl -fsS "$R1BASE/debug/flight" >"$DIR/r1-flight.json"
