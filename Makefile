@@ -6,7 +6,7 @@ GO ?= go
 # The serve-path benchmark set shared by bench-run/bench-snapshot/bench-gate
 # and profile: everything the benchmark-regression gate watches. Fixed
 # -benchtime keeps allocs/op and B/op reproducible across machines.
-BENCH_SET  = ^(BenchmarkServeInfer|BenchmarkFeaturizeColumn|BenchmarkTreePredict|BenchmarkDecodeInferRequest)$$
+BENCH_SET  = ^(BenchmarkServeInfer|BenchmarkFeaturizeColumn|BenchmarkTreePredict|BenchmarkDecodeInferRequest|BenchmarkColumnHash)$$
 BENCH_TIME = 100x
 
 .PHONY: build test race vet shvet shvet-strict shvet-fix shvet-fix-clean \
@@ -60,8 +60,9 @@ bench:
 # Differential fuzzing: each native fuzz target runs for FUZZ_TIME against
 # its reference — the multi-pass Compute kept in stats' tests, plain
 # strconv.ParseFloat, the unscreened time.Parse layout loop, the
-# lower-case-and-look-up missing check, and encoding/json for the infer
-# request codec (decode, and the encoder's round trip). Seed corpora live
+# lower-case-and-look-up missing check, encoding/json for the infer
+# request codec (decode, and the encoder's round trip), and the plain
+# word-list formulation of the column hash. Seed corpora live
 # under each package's testdata/fuzz/; a failing input is written there
 # too.
 FUZZ_TIME ?= 10s
@@ -72,6 +73,7 @@ fuzz:
 	$(GO) test ./internal/data -run '^$$' -fuzz '^FuzzIsMissing$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzDecodeInferRequest$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzAppendInferRequest$$' -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzColumnKey$$' -fuzztime $(FUZZ_TIME)
 
 # Run the gated serve-path benchmark set, teeing raw output into
 # bench-latest.txt (gitignored; CI uploads it as an artifact).

@@ -430,6 +430,32 @@ func BenchmarkDecodeInferRequest(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(cols)), "ns/col")
 }
 
+// BenchmarkColumnHash hashes BenchmarkServeInfer's 64-column batch with
+// serve.ColumnHash, the content hash the gateway routes on and each
+// replica keys its prediction cache on; ns/col is the per-column cost.
+func BenchmarkColumnHash(b *testing.B) {
+	cols := benchBatch(benchEnvironment())
+	var bytes int64
+	for i := range cols {
+		bytes += int64(len(cols[i].Name))
+		for _, v := range cols[i].Values {
+			bytes += int64(len(v))
+		}
+	}
+	b.SetBytes(bytes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range cols {
+			hashSink = serve.ColumnHash(&cols[j])
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(cols)), "ns/col")
+}
+
+// hashSink keeps BenchmarkColumnHash's result live.
+var hashSink [16]byte
+
 func sizeName(prefix string, n int) string {
 	const digits = "0123456789"
 	if n == 0 {

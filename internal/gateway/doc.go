@@ -7,7 +7,7 @@
 // # Routing
 //
 // Every column is routed by content, not by connection: the gateway
-// computes the same 128-bit FNV-1a content hash the daemon uses for its
+// computes the same 128-bit column content hash the daemon uses for its
 // prediction cache key (serve.ColumnHash), takes the first 8 bytes as a
 // ring key, and looks the owner up on a consistent-hash ring of replica
 // addresses (Ring). Identical columns therefore always land on the same

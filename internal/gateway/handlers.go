@@ -215,13 +215,14 @@ func (g *Gateway) handleInferCSV(w http.ResponseWriter, r *http.Request) {
 // through the gate, scatter by ring ownership, gather, and reassemble
 // in request order. Once the response is decided the request is offered
 // to the flight recorder with its trace identity, per-phase durations
-// (decode, the handler's body read and decode; dispatch; hedge;
-// reassemble) and the routing decisions that shaped the answer.
+// (decode, the handler's body read and decode; route, hashing and
+// grouping by ring owner; dispatch; hedge; reassemble) and the routing
+// decisions that shaped the answer.
 //
 //shvet:hotpath request tail of every gateway infer endpoint; all per-request instrumentation lands here
 func (g *Gateway) serveBatch(w http.ResponseWriter, ctx context.Context, span *obs.Span, start time.Time, decode time.Duration, path, deadlineMS string, cols []data.Column) {
 	status, errMsg := http.StatusOK, ""
-	var dispatchDur, hedgeDur, reassembleDur time.Duration
+	var routeDur, dispatchDur, hedgeDur, reassembleDur time.Duration
 	var notes []string
 	defer func() {
 		g.flight.Record(obs.FlightRecord{
@@ -233,6 +234,7 @@ func (g *Gateway) serveBatch(w http.ResponseWriter, ctx context.Context, span *o
 			Columns:    len(cols),
 			Phases: []obs.Phase{
 				{Name: "decode", DurationNS: decode.Nanoseconds()},
+				{Name: "route", DurationNS: routeDur.Nanoseconds()},
 				{Name: "dispatch", DurationNS: dispatchDur.Nanoseconds()},
 				{Name: "hedge", DurationNS: hedgeDur.Nanoseconds()},
 				{Name: "reassemble", DurationNS: reassembleDur.Nanoseconds()},
@@ -295,8 +297,11 @@ func (g *Gateway) serveBatch(w http.ResponseWriter, ctx context.Context, span *o
 		defer cancel()
 	}
 
+	rtStart := time.Now()
 	groups := g.shardGroups(cols)
 	dStart := time.Now()
+	routeDur = dStart.Sub(rtStart)
+	g.met.route.Observe(routeDur.Seconds())
 	results := g.scatter(ctx, groups)
 	dispatchDur = time.Since(dStart)
 	g.met.dispatchDur.Observe(dispatchDur.Seconds())

@@ -31,6 +31,7 @@ type metrics struct {
 
 	batchSize     *obs.Summary   // batch sizes (columns per request)
 	decode        *obs.Histogram // per-request body read and decode seconds
+	route         *obs.Histogram // per-request hash-and-group-by-owner seconds
 	shardLatency  *obs.Histogram // per-sub-request seconds
 	dispatchDur   *obs.Histogram // scatter phase: first dispatch → all groups resolved
 	hedgeDur      *obs.Histogram // hedged groups: first hedge fire → resolution
@@ -87,6 +88,7 @@ func newMetrics(g *Gateway) *metrics {
 	}
 	m.batchSize = reg.Summary("sortinghatgw_batch_columns", "Columns per gateway request.")
 	m.decode = reg.Histogram("sortinghatgw_decode_seconds", "Per-request body read and decode latency (JSON or CSV).")
+	m.route = reg.Histogram("sortinghatgw_route_seconds", "Per-request routing latency: hashing every column and grouping the batch by ring owner.")
 	m.shardLatency = reg.Histogram("sortinghatgw_shard_seconds", "Per-sub-request forwarding latency.")
 	m.dispatchDur = reg.Histogram("sortinghatgw_dispatch_seconds", "Scatter-phase latency: dispatch of the first group until every group resolved.")
 	m.hedgeDur = reg.Histogram("sortinghatgw_hedge_seconds", "Hedge-phase latency of hedged groups: first speculative fire until resolution.")

@@ -109,6 +109,7 @@ func TestGatewayMetricsRenderPinned(t *testing.T) {
 		replicaBlock("r1", addrB, g.owned[1]) +
 		emptySummary("sortinghatgw_batch_columns", "Columns per gateway request.") +
 		emptyHistogramText("sortinghatgw_decode_seconds", "Per-request body read and decode latency (JSON or CSV).") +
+		emptyHistogramText("sortinghatgw_route_seconds", "Per-request routing latency: hashing every column and grouping the batch by ring owner.") +
 		emptyHistogramText("sortinghatgw_shard_seconds", "Per-sub-request forwarding latency.") +
 		emptyHistogramText("sortinghatgw_dispatch_seconds", "Scatter-phase latency: dispatch of the first group until every group resolved.") +
 		emptyHistogramText("sortinghatgw_hedge_seconds", "Hedge-phase latency of hedged groups: first speculative fire until resolution.") +

@@ -211,8 +211,8 @@ func TestGatewayDebugFlight(t *testing.T) {
 	for i, p := range top.Phases {
 		names[i] = p.Name
 	}
-	if strings.Join(names, ",") != "decode,dispatch,hedge,reassemble" {
-		t.Errorf("phase order = %v, want [decode dispatch hedge reassemble]", names)
+	if strings.Join(names, ",") != "decode,route,dispatch,hedge,reassemble" {
+		t.Errorf("phase order = %v, want [decode route dispatch hedge reassemble]", names)
 	}
 	if top.Phases[0].DurationNS <= 0 {
 		t.Errorf("decode phase = %dns, want the body read and decode timed", top.Phases[0].DurationNS)

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"sortinghat/internal/obs"
 )
@@ -31,10 +32,12 @@ type Forest struct {
 	oobX  [][]float64
 	oobY  []int
 
-	// met is the optional observability sink (SetObs). Unexported so
-	// encoding/gob never tries to serialise live metric state with a
+	// met is the optional observability sink (SetObs), published
+	// atomically so a serving process can re-attach it (a hot reload of
+	// the model already serving) while predictions read it. Unexported
+	// so encoding/gob never tries to serialise live metric state with a
 	// saved model.
-	met *Metrics
+	met atomic.Pointer[Metrics]
 }
 
 // Metrics is the optional observability sink of a Forest. Attach one
@@ -48,9 +51,10 @@ type Metrics struct {
 	TraversalDepth *obs.Summary
 }
 
-// SetObs attaches (or, with nil, detaches) an observability sink. Not
-// safe to call concurrently with predictions; set it once at startup.
-func (f *Forest) SetObs(m *Metrics) { f.met = m }
+// SetObs attaches (or, with nil, detaches) an observability sink. It is
+// safe to call concurrently with predictions; each prediction observes
+// into the sink it found when it started.
+func (f *Forest) SetObs(m *Metrics) { f.met.Store(m) }
 
 // SplitNodes returns the total number of internal (split) nodes across
 // the fitted trees: the training split count the induction committed to.
@@ -198,14 +202,15 @@ func (f *Forest) PredictProba(x []float64) []float64 {
 // keeps the per-request allocation count flat. Callers that cache the
 // result (or hand it to a cache) must pass a fresh slice.
 func (f *Forest) PredictProbaInto(out, x []float64) []float64 {
-	observe := f.met != nil && f.met.TraversalDepth != nil
+	met := f.met.Load()
+	observe := met != nil && met.TraversalDepth != nil
 	for i := range out {
 		out[i] = 0
 	}
 	for _, t := range f.Trees {
 		leaf, depth := t.predictNodeDepth(x)
 		if observe {
-			f.met.TraversalDepth.Observe(float64(depth))
+			met.TraversalDepth.Observe(float64(depth))
 		}
 		for c, p := range leaf.probs {
 			out[c] += p

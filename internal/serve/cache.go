@@ -11,74 +11,142 @@ import (
 	"sortinghat/internal/data"
 )
 
-// cacheKey is the 128-bit FNV-1a content hash of one raw column.
+// cacheKey is the 128-bit content hash of one raw column (columnKey).
 type cacheKey [16]byte
 
-// fnv128a is 128-bit FNV-1a unrolled by hand, bit-identical to the stdlib
-// hash/fnv stream (TestColumnKeyMatchesStdlibFNV pins this). The stdlib
-// hash only accepts []byte, which forced a copy of every cell value on the
-// serve hot path; this state hashes strings in place and lives on the
-// caller's stack.
-type fnv128a struct{ hi, lo uint64 }
+// colHash is the column hash's 128-bit state. It absorbs a sequence of
+// 64-bit words two at a time; each absorb is a bijection of the state for
+// fixed words, so two inputs whose states have diverged stay apart while
+// they absorb the same suffix. The state lives on the caller's stack and
+// hashes strings in place, without copying them to []byte.
+//
+// The constants are fixed, never seeded, so every process on every
+// architecture computes the same key: the gateway routes on it and each
+// replica keys its cache on it (ARCHITECTURE.md, "Column hash"). It is
+// not a cryptographic hash.
+type colHash struct{ hi, lo uint64 }
 
-// FNV-128a parameters from hash/fnv: the offset basis split into two
-// 64-bit words, and the low word + shift encoding of the 128-bit prime
-// 2^88 + 2^8 + 0x3b.
 const (
-	fnv128OffsetHi   = 0x6c62272e07bb0142
-	fnv128OffsetLo   = 0x62b821756295c58d
-	fnv128PrimeLower = 0x13b
-	fnv128PrimeShift = 24
+	// colHashInitHi/Lo are the starting state: the first 128 bits of
+	// pi's fraction.
+	colHashInitHi = 0x243f6a8885a308d3
+	colHashInitLo = 0x13198a2e03707344
+	// colHashMulHi/Lo are the odd 128-bit multiplier of PCG64's LCG.
+	colHashMulHi = 0x2360ed051fc65da4
+	colHashMulLo = 0x4385df649fccf645
 )
 
-func newFNV128a() fnv128a { return fnv128a{hi: fnv128OffsetHi, lo: fnv128OffsetLo} }
+func newColHash() colHash { return colHash{hi: colHashInitHi, lo: colHashInitLo} }
 
-func (h *fnv128a) writeByte(c byte) {
-	h.lo ^= uint64(c)
-	s0, s1 := bits.Mul64(fnv128PrimeLower, h.lo)
-	s0 += h.lo<<fnv128PrimeShift + fnv128PrimeLower*h.hi
-	h.hi, h.lo = s0, s1
+// absorb xors two words into the state, folds the high half into the low
+// half (rotated so the high half's best-mixed top bits land at the bottom
+// of the low half, where the multiply spreads them furthest), and
+// multiplies the state by colHashMul mod 2^128. Each of the three steps
+// is a bijection of the state.
+func (h colHash) absorb(w0, w1 uint64) colHash {
+	hi := h.hi ^ w1
+	lo := h.lo ^ w0 ^ bits.RotateLeft64(hi, 32)
+	phi, plo := bits.Mul64(lo, colHashMulLo)
+	return colHash{hi: phi + lo*colHashMulHi + hi*colHashMulLo, lo: plo}
 }
 
-// writeString hashes s preceded by its big-endian 8-byte length, matching
-// the length-prefixed framing columnKey has always used.
-func (h *fnv128a) writeString(s string) {
-	n := uint64(len(s))
-	for shift := 56; shift >= 0; shift -= 8 {
-		h.writeByte(byte(n >> shift))
+// writeString absorbs one string as the word sequence [n, d0, d1, ...]:
+// its length n, then its bytes as little-endian words, paired in order
+// and padded with a zero word to an even count. A string of up to 8 bytes
+// is one packed word; a longer one is ceil(n/8) 8-byte words whose last
+// word is the string's last 8 bytes, overlapping the word before it when
+// n is not a multiple of 8. Given n the words determine every byte, so
+// distinct strings, and distinct sequences of strings, reach absorb as
+// distinct word sequences: "ab"+"c" and "a"+"bc" differ by construction.
+func (h colHash) writeString(s string) colHash {
+	n := len(s)
+	if n <= 8 {
+		return h.absorb(uint64(n), packShort(s))
 	}
-	for i := 0; i < len(s); i++ {
-		h.writeByte(s[i])
+	h = h.absorb(uint64(n), load64(s, 0))
+	i := 8
+	for ; n-i > 16; i += 16 {
+		h = h.absorb(load64(s, i), load64(s, i+8))
+	}
+	if n-i > 8 {
+		return h.absorb(load64(s, i), load64(s, n-8))
+	}
+	return h.absorb(load64(s, n-8), 0)
+}
+
+// packShort packs a string of at most 8 bytes into one word that, given
+// the length, determines every byte: two overlapping 4-byte loads from
+// 4 bytes up, the first, middle and last byte below that.
+func packShort(s string) uint64 {
+	n := len(s)
+	switch {
+	case n >= 4:
+		return uint64(load32(s, 0)) | uint64(load32(s, n-4))<<32
+	case n > 0:
+		return uint64(s[0])<<16 | uint64(s[n>>1])<<8 | uint64(s[n-1])
+	default:
+		return 0
 	}
 }
 
-func (h *fnv128a) sum() cacheKey {
+// load64 and load32 read little-endian words out of s at byte offset i,
+// composed from single bytes so every architecture reads the same value;
+// the compiler merges each into one load.
+func load64(s string, i int) uint64 {
+	s = s[i : i+8]
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
+}
+
+func load32(s string, i int) uint32 {
+	s = s[i : i+4]
+	return uint32(s[0]) | uint32(s[1])<<8 | uint32(s[2])<<16 | uint32(s[3])<<24
+}
+
+// sum finishes the state with a two-step Feistel over fmix64, a bijection
+// in which every output bit depends on every state bit, and returns the
+// high word then the low word, big-endian. The first 8 bytes are the
+// gateway's ring key.
+func (h colHash) sum() cacheKey {
+	lo := h.lo ^ fmix64(h.hi)
+	hi := h.hi ^ fmix64(lo)
 	var k cacheKey
-	binary.BigEndian.PutUint64(k[:8], h.hi)
-	binary.BigEndian.PutUint64(k[8:], h.lo)
+	binary.BigEndian.PutUint64(k[:8], hi)
+	binary.BigEndian.PutUint64(k[8:], lo)
 	return k
 }
 
+// fmix64 is MurmurHash3's 64-bit finalizer, a bijective avalanche.
+func fmix64(x uint64) uint64 {
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return x
+}
+
 // columnKey hashes a column's attribute name and cell values. Every string
-// is length-prefixed so concatenations cannot collide ("ab"+"c" vs
+// is length-framed so concatenations cannot collide ("ab"+"c" vs
 // "a"+"bc"), and the name is hashed first so renamed copies of the same
 // values key differently (the attribute name feeds the model's bigram
 // features, so it must be part of the identity).
+//
+//shvet:hotpath every column is hashed twice per fleet request: the gateway routes on it and the replica keys its cache on it
 func columnKey(col *data.Column) cacheKey {
-	h := newFNV128a()
-	h.writeString(col.Name)
+	h := newColHash().writeString(col.Name)
 	for _, v := range col.Values {
-		h.writeString(v)
+		h = h.writeString(v)
 	}
 	return h.sum()
 }
 
-// ColumnHash returns the 128-bit FNV-1a content hash of a column: the
-// same hash the prediction cache keys on, minus the model-version
-// component. The gateway tier (internal/gateway) routes columns across
-// replicas by this hash, so gateway shard ownership and replica cache
-// identity agree by construction — a column always lands on the replica
-// whose LRU already holds it.
+// ColumnHash returns the 128-bit content hash of a column: the same hash
+// the prediction cache keys on, minus the model-version component. The
+// gateway tier (internal/gateway) routes columns across replicas by this
+// hash, so gateway shard ownership and replica cache identity agree by
+// construction — a column always lands on the replica whose LRU already
+// holds it.
 func ColumnHash(col *data.Column) [16]byte { return columnKey(col) }
 
 // versionedKey is the full prediction-cache key: the column's content

@@ -32,6 +32,7 @@ type metrics struct {
 	batchSize *obs.Summary   // batch sizes (columns per request)
 	decode    *obs.Histogram // per-request body read and decode seconds
 	queueDur  *obs.Histogram // per-column admission → worker-pickup seconds
+	hashDur   *obs.Histogram // per-column content-hash seconds
 	cacheDur  *obs.Histogram // per-column cache-lookup seconds
 	featurize *obs.Histogram // per-column base-featurization seconds
 	predict   *obs.Histogram // per-column model-prediction seconds
@@ -76,6 +77,7 @@ func newMetrics(s *Server) *metrics {
 	m.batchSize = reg.Summary("sortinghatd_batch_columns", "Columns per /v1/infer request.")
 	m.decode = reg.Histogram("sortinghatd_decode_seconds", "Per-request body read and decode latency (JSON or CSV).")
 	m.queueDur = reg.Histogram("sortinghatd_queue_seconds", "Per-column wait between admission and worker pickup.")
+	m.hashDur = reg.Histogram("sortinghatd_hash_seconds", "Per-column content hash latency (the cache key's column hash).")
 	m.cacheDur = reg.Histogram("sortinghatd_cache_seconds", "Per-column prediction cache lookup latency.")
 	m.featurize = reg.Histogram("sortinghatd_featurize_seconds", "Per-column base featurization latency.")
 	m.predict = reg.Histogram("sortinghatd_predict_seconds", "Per-column model prediction latency.")

@@ -17,6 +17,7 @@ import (
 // bookkeeping allocations.
 type phaseAcc struct {
 	queue     atomic.Int64 // admission → worker pickup
+	hash      atomic.Int64 // column content hashes (the cache key)
 	cache     atomic.Int64 // prediction cache lookups
 	featurize atomic.Int64 // base featurization (successful columns)
 	predict   atomic.Int64 // model prediction (successful columns)
@@ -41,6 +42,12 @@ func phasesFrom(ctx context.Context) *phaseAcc {
 func (a *phaseAcc) addQueue(d time.Duration) {
 	if a != nil {
 		a.queue.Add(int64(d))
+	}
+}
+
+func (a *phaseAcc) addHash(d time.Duration) {
+	if a != nil {
+		a.hash.Add(int64(d))
 	}
 }
 
@@ -89,6 +96,7 @@ func (a *phaseAcc) phases(decode time.Duration) []obs.Phase {
 	return []obs.Phase{
 		{Name: "decode", DurationNS: decode.Nanoseconds()},
 		{Name: "queue", DurationNS: a.queue.Load()},
+		{Name: "hash", DurationNS: a.hash.Load()},
 		{Name: "cache", DurationNS: a.cache.Load()},
 		{Name: "featurize", DurationNS: a.featurize.Load()},
 		{Name: "predict", DurationNS: a.predict.Load()},

@@ -219,3 +219,39 @@ func TestConcurrentInferDuringReload(t *testing.T) {
 		}
 	}
 }
+
+// TestReloadSamePipelineWhilePredicting reloads the serving pipeline onto
+// itself while uncached predictions run. Every reload re-attaches the
+// traversal-depth sink to the forest the workers are predicting with, so
+// under -race it pins that attaching the sink is safe against concurrent
+// predictions. The cache is off so every column predicts.
+func TestReloadSamePipelineWhilePredicting(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 2, CacheSize: -1})
+	pipe := testModel(t)
+	req := testBatch(8)
+	cols := make([]data.Column, len(req.Columns))
+	for i, c := range req.Columns {
+		cols[i] = data.Column{Name: c.Name, Values: c.Values}
+	}
+	errc := make(chan error, 1)
+	go func() {
+		defer close(errc)
+		for i := 0; i < 20; i++ {
+			if _, err := s.InferBatch(context.Background(), cols); err != nil {
+				errc <- err
+				return
+			}
+		}
+	}()
+	for {
+		select {
+		case err := <-errc:
+			if err != nil {
+				t.Fatalf("InferBatch during reloads: %v", err)
+			}
+			return
+		default:
+			s.Reload(pipe, "")
+		}
+	}
+}

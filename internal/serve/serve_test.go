@@ -3,10 +3,8 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"log/slog"
 	"net/http"
@@ -248,37 +246,6 @@ func TestCacheKeyDistinguishesNameAndContent(t *testing.T) {
 	}
 	if ka != columnKey(&data.Column{Name: "age", Values: []string{"ab", "c"}}) {
 		t.Error("identical columns hash differently")
-	}
-}
-
-// TestColumnKeyMatchesStdlibFNV pins the hand-unrolled 128-bit FNV-1a in
-// cache.go to the stdlib stream it replaced: fnv.New128a fed each string
-// preceded by its big-endian 8-byte length. Any drift would silently
-// invalidate (or worse, cross-wire) every cached prediction.
-func TestColumnKeyMatchesStdlibFNV(t *testing.T) {
-	cols := []data.Column{
-		{Name: "", Values: nil},
-		{Name: "age", Values: []string{"ab", "c"}},
-		{Name: "zip", Values: []string{"", "02139", "Ärzte", "a\x00b"}},
-		{Name: "long", Values: []string{strings.Repeat("x", 300)}},
-	}
-	for _, col := range cols {
-		h := fnv.New128a()
-		var lenBuf [8]byte
-		write := func(s string) {
-			binary.BigEndian.PutUint64(lenBuf[:], uint64(len(s)))
-			h.Write(lenBuf[:]) //shvet:ignore unchecked-err hash.Hash Write never returns an error
-			h.Write([]byte(s)) //shvet:ignore unchecked-err hash.Hash Write never returns an error
-		}
-		write(col.Name)
-		for _, v := range col.Values {
-			write(v)
-		}
-		var want cacheKey
-		h.Sum(want[:0])
-		if got := columnKey(&col); got != want {
-			t.Errorf("columnKey(%q) = %x, want stdlib FNV-128a %x", col.Name, got, want)
-		}
 	}
 }
 
@@ -563,6 +530,7 @@ func TestMetricsRenderPinned(t *testing.T) {
 		emptySummary("sortinghatd_batch_columns", "Columns per /v1/infer request.") +
 		emptyHistogramText("sortinghatd_decode_seconds", "Per-request body read and decode latency (JSON or CSV).") +
 		emptyHistogramText("sortinghatd_queue_seconds", "Per-column wait between admission and worker pickup.") +
+		emptyHistogramText("sortinghatd_hash_seconds", "Per-column content hash latency (the cache key's column hash).") +
 		emptyHistogramText("sortinghatd_cache_seconds", "Per-column prediction cache lookup latency.") +
 		emptyHistogramText("sortinghatd_featurize_seconds", "Per-column base featurization latency.") +
 		emptyHistogramText("sortinghatd_predict_seconds", "Per-column model prediction latency.") +

@@ -339,8 +339,12 @@ func (s *Server) process(t task) {
 	// the prediction below and the cache key agree on the model version
 	// even when Reload swaps the pointer mid-column.
 	m := s.current()
-	cStart := time.Now()
+	hStart := time.Now()
 	key := versionedKey{seq: m.seq, key: columnKey(t.col)}
+	cStart := time.Now()
+	hd := cStart.Sub(hStart)
+	s.met.hashDur.Observe(hd.Seconds())
+	acc.addHash(hd)
 	hit, ok := s.cache.get(key)
 	cd := time.Since(cStart)
 	s.met.cacheDur.Observe(cd.Seconds())

@@ -134,6 +134,7 @@ if has_phase single; then
     grep -q '^sortinghatd_forest_split_nodes ' "$DIR/metrics.txt"
     grep -q '^sortinghatd_featurize_seconds_count ' "$DIR/metrics.txt"
     grep -q '^sortinghatd_decode_seconds_count 2$' "$DIR/metrics.txt"
+    grep -q '^sortinghatd_hash_seconds_count 8$' "$DIR/metrics.txt"
 
     echo "smoke: [single] /debug/traces must hold the recorded request traces..."
     curl -fsS "$BASE/debug/traces" >"$DIR/traces.json"
@@ -149,6 +150,7 @@ if has_phase single; then
     grep -q '"trace_id"' "$DIR/flight.json"
     grep -q '"name":"decode"' "$DIR/flight.json"
     grep -q '"name":"queue"' "$DIR/flight.json"
+    grep -q '"name":"hash"' "$DIR/flight.json"
     grep -q '"name":"predict"' "$DIR/flight.json"
 
     echo "smoke: [single] /debug/pprof must be mounted (-pprof)..."
@@ -357,6 +359,7 @@ if has_phase fleet; then
     grep -q '^sortinghatgw_request_seconds_count 2$' "$DIR/gw-metrics.txt"
     grep -q '^sortinghatgw_dispatch_seconds_count 2$' "$DIR/gw-metrics.txt"
     grep -q '^sortinghatgw_decode_seconds_count 2$' "$DIR/gw-metrics.txt"
+    grep -q '^sortinghatgw_route_seconds_count 2$' "$DIR/gw-metrics.txt"
     grep -q '^sortinghatgw_goroutines ' "$DIR/gw-metrics.txt"
 
     echo "smoke: [fleet] one gateway trace id must appear in every trace sink..."
@@ -373,10 +376,12 @@ if has_phase fleet; then
     curl -fsS "$GWBASE/debug/flight" >"$DIR/gw-flight.json"
     grep -q "\"trace_id\":\"$TRACE\"" "$DIR/gw-flight.json"
     grep -q '"name":"decode"' "$DIR/gw-flight.json"
+    grep -q '"name":"route"' "$DIR/gw-flight.json"
     grep -q '"name":"dispatch"' "$DIR/gw-flight.json"
     grep -q '"shard r' "$DIR/gw-flight.json"
     curl -fsS "$R1BASE/debug/flight" >"$DIR/r1-flight.json"
     grep -q '"name":"featurize"' "$DIR/r1-flight.json"
+    grep -q '"name":"hash"' "$DIR/r1-flight.json"
     grep -q '"trace_id"' "$DIR/r1-flight.json"
 
     echo "smoke: [fleet] tracecat must stitch the sinks into one timeline..."
