@@ -10,8 +10,8 @@ import (
 
 // phaseAcc accumulates per-phase nanoseconds across all worker-pool
 // columns of one request, so the flight recorder can say where a slow
-// request's time went. The HTTP handlers attach one to the request
-// context; workers add into it with plain atomics. Direct InferBatch
+// request's time went. The replica's infer function attaches one to the
+// request context; workers add into it with plain atomics. Direct InferBatch
 // callers (benchmarks, tests) carry no accumulator and every method is
 // nil-safe, which keeps the library hot path free of per-request
 // bookkeeping allocations.
@@ -86,19 +86,17 @@ func (a *phaseAcc) expiredCount() int64 {
 	return a.expired.Load()
 }
 
-// phases renders the request's decode time and the accumulated totals in
-// fixed order for a flight record. Nil (no accumulator attached) renders
-// as nil.
-func (a *phaseAcc) phases(decode time.Duration) []obs.Phase {
+// appendPhases appends the accumulated totals to a flight record's
+// phases, in fixed order. Nil (no accumulator attached) appends nothing.
+func (a *phaseAcc) appendPhases(dst []obs.Phase) []obs.Phase {
 	if a == nil {
-		return nil
+		return dst
 	}
-	return []obs.Phase{
-		{Name: "decode", DurationNS: decode.Nanoseconds()},
-		{Name: "queue", DurationNS: a.queue.Load()},
-		{Name: "hash", DurationNS: a.hash.Load()},
-		{Name: "cache", DurationNS: a.cache.Load()},
-		{Name: "featurize", DurationNS: a.featurize.Load()},
-		{Name: "predict", DurationNS: a.predict.Load()},
-	}
+	return append(dst,
+		obs.Phase{Name: "queue", DurationNS: a.queue.Load()},
+		obs.Phase{Name: "hash", DurationNS: a.hash.Load()},
+		obs.Phase{Name: "cache", DurationNS: a.cache.Load()},
+		obs.Phase{Name: "featurize", DurationNS: a.featurize.Load()},
+		obs.Phase{Name: "predict", DurationNS: a.predict.Load()},
+	)
 }
