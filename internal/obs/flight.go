@@ -22,15 +22,15 @@ type Phase struct {
 // traces and logs, total and per-phase timing, and the routing decisions
 // (shard assignment, hedges, failovers) that explain where the time went.
 type FlightRecord struct {
-	TraceID    string  `json:"trace_id,omitempty"`
-	RequestID  string  `json:"request_id,omitempty"`
-	Path       string  `json:"path,omitempty"`
-	Status     int     `json:"status,omitempty"`
-	DurationNS int64   `json:"duration_ns"`
-	Columns    int     `json:"columns,omitempty"`
-	Phases     []Phase `json:"phases,omitempty"`
+	TraceID    string   `json:"trace_id,omitempty"`
+	RequestID  string   `json:"request_id,omitempty"`
+	Path       string   `json:"path,omitempty"`
+	Status     int      `json:"status,omitempty"`
+	DurationNS int64    `json:"duration_ns"`
+	Columns    int      `json:"columns,omitempty"`
+	Phases     []Phase  `json:"phases,omitempty"`
 	Notes      []string `json:"notes,omitempty"` // routing / hedge / failover decisions
-	Err        string  `json:"error,omitempty"`
+	Err        string   `json:"error,omitempty"`
 }
 
 // FlightRecorder keeps the requests worth explaining after the fact: a
