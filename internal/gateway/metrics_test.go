@@ -114,6 +114,7 @@ func TestGatewayMetricsRenderPinned(t *testing.T) {
 		emptyHistogramText("sortinghatgw_dispatch_seconds", "Scatter-phase latency: dispatch of the first group until every group resolved.") +
 		emptyHistogramText("sortinghatgw_hedge_seconds", "Hedge-phase latency of hedged groups: first speculative fire until resolution.") +
 		emptyHistogramText("sortinghatgw_reassemble_seconds", "Gather-phase latency: slot-ordered reassembly of the batch response.") +
+		emptyHistogramText("sortinghatgw_encode_seconds", "Per-request latency of encoding and writing the 200 response body.") +
 		emptyHistogramText("sortinghatgw_request_seconds", "End-to-end gateway request latency.") +
 		"# HELP sortinghatgw_goroutines Current number of live goroutines.\n" +
 		"# TYPE sortinghatgw_goroutines gauge\n" +

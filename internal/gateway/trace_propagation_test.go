@@ -211,11 +211,14 @@ func TestGatewayDebugFlight(t *testing.T) {
 	for i, p := range top.Phases {
 		names[i] = p.Name
 	}
-	if strings.Join(names, ",") != "decode,route,dispatch,hedge,reassemble" {
-		t.Errorf("phase order = %v, want [decode route dispatch hedge reassemble]", names)
+	if strings.Join(names, ",") != "decode,route,dispatch,hedge,reassemble,encode" {
+		t.Errorf("phase order = %v, want [decode route dispatch hedge reassemble encode]", names)
 	}
 	if top.Phases[0].DurationNS <= 0 {
 		t.Errorf("decode phase = %dns, want the body read and decode timed", top.Phases[0].DurationNS)
+	}
+	if enc := top.Phases[len(top.Phases)-1]; enc.DurationNS <= 0 {
+		t.Errorf("encode phase = %dns, want the response write timed", enc.DurationNS)
 	}
 	if len(top.Notes) == 0 || !strings.HasPrefix(top.Notes[0], "shard r") {
 		t.Errorf("flight notes = %v, want per-shard routing notes", top.Notes)

@@ -534,6 +534,7 @@ func TestMetricsRenderPinned(t *testing.T) {
 		emptyHistogramText("sortinghatd_cache_seconds", "Per-column prediction cache lookup latency.") +
 		emptyHistogramText("sortinghatd_featurize_seconds", "Per-column base featurization latency.") +
 		emptyHistogramText("sortinghatd_predict_seconds", "Per-column model prediction latency.") +
+		emptyHistogramText("sortinghatd_encode_seconds", "Per-request latency of encoding and writing the 200 response body.") +
 		emptyHistogramText("sortinghatd_request_seconds", "End-to-end /v1/infer latency.") +
 		gauge("sortinghatd_forest_split_nodes", "Internal (split) nodes across the forest's fitted trees — the training split count.", float64(f.SplitNodes())) +
 		gauge("sortinghatd_forest_leaf_nodes", "Leaf nodes across the forest's fitted trees.", float64(f.LeafNodes())) +

@@ -177,8 +177,8 @@ func TestDebugFlight(t *testing.T) {
 	for i, p := range top.Phases {
 		names[i] = p.Name
 	}
-	if strings.Join(names, ",") != "decode,queue,hash,cache,featurize,predict" {
-		t.Errorf("phase order = %v, want [decode queue hash cache featurize predict]", names)
+	if strings.Join(names, ",") != "decode,queue,hash,cache,featurize,predict,encode" {
+		t.Errorf("phase order = %v, want [decode queue hash cache featurize predict encode]", names)
 	}
 	if top.Phases[0].DurationNS <= 0 {
 		t.Errorf("decode phase = %dns, want the body read and decode timed", top.Phases[0].DurationNS)

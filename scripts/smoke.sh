@@ -135,6 +135,7 @@ if has_phase single; then
     grep -q '^sortinghatd_featurize_seconds_count ' "$DIR/metrics.txt"
     grep -q '^sortinghatd_decode_seconds_count 2$' "$DIR/metrics.txt"
     grep -q '^sortinghatd_hash_seconds_count 8$' "$DIR/metrics.txt"
+    grep -q '^sortinghatd_encode_seconds_count 2$' "$DIR/metrics.txt"
 
     echo "smoke: [single] /debug/traces must hold the recorded request traces..."
     curl -fsS "$BASE/debug/traces" >"$DIR/traces.json"
@@ -152,6 +153,7 @@ if has_phase single; then
     grep -q '"name":"queue"' "$DIR/flight.json"
     grep -q '"name":"hash"' "$DIR/flight.json"
     grep -q '"name":"predict"' "$DIR/flight.json"
+    grep -q '"name":"encode"' "$DIR/flight.json"
 
     echo "smoke: [single] /debug/pprof must be mounted (-pprof)..."
     curl -fsS "$BASE/debug/pprof/cmdline" >/dev/null
@@ -360,6 +362,7 @@ if has_phase fleet; then
     grep -q '^sortinghatgw_dispatch_seconds_count 2$' "$DIR/gw-metrics.txt"
     grep -q '^sortinghatgw_decode_seconds_count 2$' "$DIR/gw-metrics.txt"
     grep -q '^sortinghatgw_route_seconds_count 2$' "$DIR/gw-metrics.txt"
+    grep -q '^sortinghatgw_encode_seconds_count 2$' "$DIR/gw-metrics.txt"
     grep -q '^sortinghatgw_goroutines ' "$DIR/gw-metrics.txt"
 
     echo "smoke: [fleet] one gateway trace id must appear in every trace sink..."
@@ -378,6 +381,7 @@ if has_phase fleet; then
     grep -q '"name":"decode"' "$DIR/gw-flight.json"
     grep -q '"name":"route"' "$DIR/gw-flight.json"
     grep -q '"name":"dispatch"' "$DIR/gw-flight.json"
+    grep -q '"name":"encode"' "$DIR/gw-flight.json"
     grep -q '"shard r' "$DIR/gw-flight.json"
     curl -fsS "$R1BASE/debug/flight" >"$DIR/r1-flight.json"
     grep -q '"name":"featurize"' "$DIR/r1-flight.json"
