@@ -89,7 +89,7 @@ func main() {
 
 		maxCell       = flag.Int("max-cell", serve.DefaultMaxCellBytes, "max bytes per CSV cell on /v1/infer/csv (answered with 413)")
 		queueDepth    = flag.Int("queue-depth", 0, "admission-gate high-water mark in columns (default: 2*max-batch)")
-		retryAfterMax = flag.Int("retry-after-max", serve.DefaultRetryAfterMax, "cap in seconds on the Retry-After hint sent with shed (429) answers")
+		retryAfterMax = flag.Int("retry-after-max", serve.DefaultRetryAfterMax, "cap in seconds on the Retry-After hint sent with 429/504 answers")
 		brkFailures   = flag.Int("breaker-failures", 0, "consecutive prediction failures that trip the breaker open (default 5)")
 		brkProbe      = flag.Duration("breaker-probe", 0, "wait before an open breaker probes the ML path again (default 5s)")
 		faultSpec     = flag.String("fault-spec", "", "deterministic fault injection, e.g. 'predict:panic:0.1;featurize:latency:1:20ms' (testing only)")

@@ -4,6 +4,15 @@
 // each batch across the fleet, and reassembles the answers in request
 // order.
 //
+// # Front door
+//
+// The gateway is a backend that forwards. Its HTTP surface is the
+// daemon's own front door, serve.Front: the same middleware, ingress
+// limits, batch and X-Deadline-Ms checks, error-to-status mapping,
+// flight record and debug endpoints. What the gateway supplies is its
+// infer function (admit through its gate, apply its Timeout, scatter,
+// gather, reassemble), its metric handles, and its fleet /healthz body.
+//
 // # Routing
 //
 // Every column is routed by content, not by connection: the gateway
